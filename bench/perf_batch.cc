@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
     size_t mismatches = 0;
     service::BatchStats stats;
     for (int r = 0; r < repeats; ++r) {
-      // Fresh service per repetition: cold path cache, fair comparison.
+      // Fresh service per repetition: cold plan cache, fair comparison.
       auto svc = service::EstimationService::Create(sketch, opts);
       if (!svc.ok()) {
         std::fprintf(stderr, "%s\n", svc.status().ToString().c_str());
@@ -282,24 +282,32 @@ int main(int argc, char** argv) {
       // Assert-only: bit-identity plus BatchStats internal consistency.
       if (mismatches != 0 || stats.queries != queries.size() ||
           stats.p50_latency_us > stats.p95_latency_us ||
-          stats.cache_hits > stats.cache_lookups) {
-        std::fprintf(stderr,
-                     "perf_batch --smoke FAILED at %d threads: "
-                     "%zu mismatches, %zu/%zu queries, p50 %.1f p95 %.1f, "
-                     "cache %llu/%llu\n",
-                     threads, mismatches, stats.queries, queries.size(),
-                     stats.p50_latency_us, stats.p95_latency_us,
-                     static_cast<unsigned long long>(stats.cache_hits),
-                     static_cast<unsigned long long>(stats.cache_lookups));
+          stats.plan_cache_lookups != queries.size() ||
+          stats.plan_cache_hits > stats.plan_cache_lookups) {
+        std::fprintf(
+            stderr,
+            "perf_batch --smoke FAILED at %d threads: "
+            "%zu mismatches, %zu/%zu queries, p50 %.1f p95 %.1f, "
+            "plan cache %llu/%llu\n",
+            threads, mismatches, stats.queries, queries.size(),
+            stats.p50_latency_us, stats.p95_latency_us,
+            static_cast<unsigned long long>(stats.plan_cache_hits),
+            static_cast<unsigned long long>(stats.plan_cache_lookups));
         return 1;
       }
       continue;
     }
+    const double plan_hit_rate =
+        stats.plan_cache_lookups == 0
+            ? 0.0
+            : static_cast<double>(stats.plan_cache_hits) /
+                  static_cast<double>(stats.plan_cache_lookups);
     std::printf(
         "%2d threads   %12.0f q/s   %5.2fx   p50 %6.1f us  p95 %6.1f us  "
-        "cache %5.1f%%   %s\n",
+        "plan cache %5.1f%% of %llu   %s\n",
         threads, best, best / seq_best, stats.p50_latency_us,
-        stats.p95_latency_us, stats.cache_hit_rate * 100.0,
+        stats.p95_latency_us, plan_hit_rate * 100.0,
+        static_cast<unsigned long long>(stats.plan_cache_lookups),
         mismatches == 0 ? "bit-identical" : "MISMATCH");
     if (mismatches != 0) return 1;
   }

@@ -1,16 +1,24 @@
 // Daemon load driver: latency and shed behavior of the serving path
 // under increasing offered load, over the real XSKB socket protocol.
 //
+// Every handler sleeps a fixed kServiceMs through the daemon.slow_handler
+// fault point, so the per-request service time does not depend on the
+// host: on a fast machine a real estimate takes microseconds, clients
+// never fill the queue, and "2x saturation" would shed nothing.
+//
 // Phase 1 (probe): one closed-loop binary client measures unloaded
 // request latency — the per-request service cost the admission valve is
 // protecting.
 //
 // Phase 2 (2x saturation): with a fixed small worker pool and admission
 // queue, 2 x (workers + queue slots) closed-loop clients oversubscribe
-// the daemon. The report shows accepted p50/p99 and the shed rate; the
-// acceptance gates (every request answered explicitly, accepted p99
+// the daemon: at most workers + queue slots requests are admitted at
+// once, and each holds its slot for kServiceMs, so the other clients'
+// requests are shed. The report shows accepted p50/p99 and the shed rate;
+// the acceptance gates (every request answered explicitly, accepted p99
 // bounded by queue depth x service time rather than offered load) are
-// asserted on every run, not just --smoke.
+// asserted on every run, not just --smoke. Builds without fault points
+// (-DXSKETCH_FAULTPOINTS_ENABLED=OFF) serve at the host's real speed.
 //
 // The daemon runs in-process on an ephemeral port: the socket path,
 // event loop, admission queue, and worker pool are all the production
@@ -42,6 +50,7 @@
 #include "core/frozen_io.h"
 #include "daemon/daemon.h"
 #include "net/wire.h"
+#include "testing/faultpoints.h"
 #include "util/percentiles.h"
 
 namespace {
@@ -191,8 +200,12 @@ int main(int argc, char** argv) {
   options.sketches.emplace_back("bench", sketch_path);
   constexpr int kWorkers = 2;
   constexpr size_t kQueueLimit = 8;
+  constexpr int kServiceMs = 10;
   options.worker_threads = kWorkers;
   options.admission_queue_limit = kQueueLimit;
+  testing::FaultPoints::Config slow;
+  slow.delay_ms = kServiceMs;
+  testing::FaultPoints::Default().Arm("daemon.slow_handler", slow);
   auto created = daemon::Daemon::Create(std::move(options));
   if (!created.ok()) {
     std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
@@ -290,9 +303,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   std::printf("# %s scale=%.2f, %d workers, admission queue %zu, "
-              "%d clients x %d requests\n",
+              "%d clients x %d requests, +%d ms per request\n",
               data.name.c_str(), bench::BenchScale(), kWorkers, kQueueLimit,
-              clients, per_client);
+              clients, per_client, kServiceMs);
   std::printf("daemon unloaded   p50 %8.3f ms   p99 %8.3f ms\n", probe_p50,
               probe_p99);
   std::printf("daemon 2x-sat     p50 %8.3f ms   p99 %8.3f ms   "

@@ -701,7 +701,7 @@ int main(int argc, char** argv) {
     std::printf(
         "batch: %zu queries (%zu failed) on %d threads in %.2f ms "
         "(%.0f q/s)\n"
-        "latency p50 %.1f us, p95 %.1f us; path-cache hit rate %.1f%%\n"
+        "latency p50 %.1f us, p95 %.1f us\n"
         "terms: covered %lld, uniformity %lld, conditioned %lld\n",
         bstats.queries, bstats.failed, svc.value().service().num_threads(),
         bstats.wall_ms,
@@ -709,17 +709,17 @@ int main(int argc, char** argv) {
             ? static_cast<double>(bstats.queries) / (bstats.wall_ms / 1e3)
             : 0.0,
         bstats.p50_latency_us, bstats.p95_latency_us,
-        bstats.cache_hit_rate * 100.0,
         static_cast<long long>(bstats.covered_terms),
         static_cast<long long>(bstats.uniformity_terms),
         static_cast<long long>(bstats.conditioned_nodes));
     std::printf(
-        "plan cache: %llu lookups, %llu hits; path cache: %llu lookups, "
-        "%llu hits this batch\n",
+        "plan cache: %llu lookups, %llu hits (%.1f%%) this batch\n",
         static_cast<unsigned long long>(bstats.plan_cache_lookups),
         static_cast<unsigned long long>(bstats.plan_cache_hits),
-        static_cast<unsigned long long>(bstats.cache_lookups),
-        static_cast<unsigned long long>(bstats.cache_hits));
+        bstats.plan_cache_lookups == 0
+            ? 0.0
+            : 100.0 * static_cast<double>(bstats.plan_cache_hits) /
+                  static_cast<double>(bstats.plan_cache_lookups));
     if (bstats.audited > 0) {
       std::printf(
           "audit: %zu queries evaluated exactly; relative error mean "

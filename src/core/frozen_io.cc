@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <vector>
 
 #include "core/xsk3_format.h"
+#include "util/posix_io.h"
 
 namespace xsketch::core {
 
@@ -597,13 +597,8 @@ util::Status SaveFrozenToFile(const FrozenSynopsis& frozen,
                               const std::string& path) {
   auto bytes = SaveFrozen(frozen);
   if (!bytes.ok()) return bytes.status();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return util::Status::NotFound("cannot open " + path);
-  out.write(bytes.value().data(),
-            static_cast<std::streamsize>(bytes.value().size()));
-  out.flush();
-  if (!out) return util::Status::Internal("short write to " + path);
-  return util::Status::OK();
+  // Readers mmap these files: publish by rename, never truncate in place.
+  return util::WriteFileAtomically(path, bytes.value());
 }
 
 util::Result<std::shared_ptr<const FrozenSynopsis>> LoadFrozen(

@@ -52,8 +52,9 @@ struct FrozenLoadOptions {
 // big-endian host.
 util::Result<std::string> SaveFrozen(const FrozenSynopsis& frozen);
 
-// SaveFrozen + atomic-ish file write (write then flush; callers doing hot
-// replacement should write to a temp path and rename(2) into place).
+// SaveFrozen + atomic publish (util::WriteFileAtomically: temp file in the
+// same directory, fsync, rename(2) over `path`). A process that has the
+// old file mapped keeps serving it; the next load sees the new image.
 util::Status SaveFrozenToFile(const FrozenSynopsis& frozen,
                               const std::string& path);
 

@@ -95,9 +95,6 @@ util::Status DaemonOptions::Validate() const {
     return util::Status::InvalidArgument(
         "admission_queue_limit must be >= 1");
   }
-  if (batch_threads < 1) {
-    return util::Status::InvalidArgument("batch_threads must be >= 1");
-  }
   if (default_deadline_ms < 0) {
     return util::Status::InvalidArgument("default_deadline_ms must be >= 0");
   }
@@ -169,14 +166,9 @@ void Daemon::Run() { server_->Run(); }
 
 util::Status Daemon::AddSketch(const std::string& doc_id,
                                const std::string& path) {
-  auto handle = catalog_->Put(doc_id, path);
-  if (!handle.ok()) return handle.status();
-  // Invalidate the cached service for this doc: the next request builds
-  // one against the new generation. In-flight requests keep the old
-  // service (and its pinned mapping) alive through their shared_ptr.
-  std::lock_guard<std::mutex> lock(services_mu_);
-  services_.erase(doc_id);
-  return util::Status::OK();
+  // The new generation brings its own service; in-flight requests keep
+  // the old handle (service, plan cache, mapping) alive until they finish.
+  return catalog_->Put(doc_id, path).status();
 }
 
 Daemon::Stats Daemon::stats() const {
@@ -186,36 +178,6 @@ Daemon::Stats Daemon::stats() const {
   s.deadline_expired = metrics_.deadline_expired->value();
   s.errors = metrics_.errors->value();
   return s;
-}
-
-util::Result<std::shared_ptr<service::EstimationService>> Daemon::ServiceFor(
-    const std::string& doc_id, uint64_t* generation_out) {
-  auto handle = catalog_->Get(doc_id);
-  if (!handle.ok()) return handle.status();
-  const uint64_t generation = handle.value().generation();
-  if (generation_out != nullptr) *generation_out = generation;
-  {
-    std::lock_guard<std::mutex> lock(services_mu_);
-    auto it = services_.find(doc_id);
-    if (it != services_.end() && it->second.generation == generation) {
-      return it->second.service;
-    }
-  }
-  // Build outside the lock: construction spawns the service's batch pool
-  // and must not serialize other docs' lookups. A racing thread may build
-  // a duplicate; last insert wins and the loser's service just dies with
-  // its shared_ptr.
-  service::ServiceOptions service_options;
-  service_options.num_threads = options_.batch_threads;
-  service_options.sketch_generation = generation;
-  auto service = service::EstimationService::Create(
-      handle.value().frozen_ptr(), service_options);
-  if (!service.ok()) return service.status();
-  std::shared_ptr<service::EstimationService> shared =
-      std::move(service).value();
-  std::lock_guard<std::mutex> lock(services_mu_);
-  services_[doc_id] = CachedService{generation, shared};
-  return shared;
 }
 
 std::optional<Clock::time_point> Daemon::DeadlineFrom(
@@ -443,20 +405,20 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
         binary));
     return;
   }
-  uint64_t generation = 0;
-  auto service = ServiceFor(doc, &generation);
-  if (!service.ok()) {
+  auto handle = catalog_->Get(doc);
+  if (!handle.ok()) {
     metrics_.errors->Increment();
-    responder.Send(ErrorResponse(service.status(), binary));
+    responder.Send(ErrorResponse(handle.status(), binary));
     return;
   }
-  auto twig = ParseQueryText(query, service.value()->tags());
+  const service::EstimationService& service = handle.value().service();
+  auto twig = ParseQueryText(query, service.tags());
   if (!twig.ok()) {
     metrics_.errors->Increment();
     responder.Send(ErrorResponse(twig.status(), binary));
     return;
   }
-  auto plan = service.value()->Prepare(twig.value());
+  auto plan = service.Prepare(twig.value());
   if (!plan.ok()) {
     metrics_.errors->Increment();
     responder.Send(ErrorResponse(plan.status(), binary));
@@ -476,7 +438,8 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
     net::AppendJsonNumber(&resp.body, estimate);
     resp.body += ",\"doc\":";
     net::AppendJsonString(&resp.body, doc);
-    resp.body += ",\"generation\":" + std::to_string(generation) + "}\n";
+    resp.body += ",\"generation\":" +
+                 std::to_string(handle.value().generation()) + "}\n";
   }
   responder.Send(std::move(resp));
 }
@@ -497,12 +460,15 @@ void Daemon::HandleBatch(const std::string& doc,
         binary));
     return;
   }
-  auto service = ServiceFor(doc);
-  if (!service.ok()) {
+  auto handle = catalog_->Get(doc);
+  if (!handle.ok()) {
     metrics_.errors->Increment();
-    responder.Send(ErrorResponse(service.status(), binary));
+    responder.Send(ErrorResponse(handle.status(), binary));
     return;
   }
+  // One-thread service: the batch runs right here on the worker that
+  // admitted it, so daemon threads never nest another pool.
+  const service::EstimationService& service = handle.value().service();
 
   // Parse failures become per-query errors, exactly like the service's
   // own validation: one bad query never sinks the batch.
@@ -511,7 +477,7 @@ void Daemon::HandleBatch(const std::string& doc,
   std::vector<util::Status> parse_errors(queries.size(), util::Status::OK());
   std::vector<size_t> twig_index(queries.size(), SIZE_MAX);
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto twig = ParseQueryText(queries[i], service.value()->tags());
+    auto twig = ParseQueryText(queries[i], service.tags());
     if (twig.ok()) {
       twig_index[i] = twigs.size();
       twigs.push_back(std::move(twig).value());
@@ -523,7 +489,7 @@ void Daemon::HandleBatch(const std::string& doc,
   service::BatchStats stats;
   std::vector<util::Result<core::EstimateStats>> results;
   if (!twigs.empty()) {
-    results = service.value()->EstimateBatch(twigs, &stats, deadline);
+    results = service.EstimateBatch(twigs, &stats, deadline);
   }
 
   metrics_.handler_us->Observe(
@@ -602,20 +568,19 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
   if (const int ms = XS_FAULT_DELAY_MS("daemon.slow_handler"); ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
-  uint64_t generation = 0;
-  auto service = ServiceFor(doc, &generation);
-  if (!service.ok()) {
+  auto handle = catalog_->Get(doc);
+  if (!handle.ok()) {
     metrics_.errors->Increment();
-    responder.Send(ErrorResponse(service.status(), /*binary=*/false));
+    responder.Send(ErrorResponse(handle.status(), /*binary=*/false));
     return;
   }
-  auto twig = ParseQueryText(query, service.value()->tags());
+  auto twig = ParseQueryText(query, handle.value().service().tags());
   if (!twig.ok()) {
     metrics_.errors->Increment();
     responder.Send(ErrorResponse(twig.status(), /*binary=*/false));
     return;
   }
-  auto plan = service.value()->Prepare(twig.value());
+  auto plan = handle.value().Prepare(twig.value());
   if (!plan.ok()) {
     metrics_.errors->Increment();
     responder.Send(ErrorResponse(plan.status(), /*binary=*/false));
@@ -627,7 +592,7 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
   net::AppendJsonNumber(&body, stats.estimate);
   body += ",\"doc\":";
   net::AppendJsonString(&body, doc);
-  body += ",\"generation\":" + std::to_string(generation);
+  body += ",\"generation\":" + std::to_string(handle.value().generation());
   body += ",\"terms\":{";
   body += "\"covered\":" + std::to_string(stats.covered_terms);
   body += ",\"uniformity\":" + std::to_string(stats.uniformity_terms);

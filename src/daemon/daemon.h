@@ -33,10 +33,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -54,15 +52,13 @@ struct DaemonOptions {
   // Sketches to load at startup: (doc id, XSK3 path). More can be added
   // (or hot-swapped) later via AddSketch.
   std::vector<std::pair<std::string, std::string>> sketches;
-  // Handler worker threads. 0 = hardware concurrency.
+  // Handler worker threads, the daemon's only pool: a batch runs on the
+  // worker that admitted it. 0 = hardware concurrency.
   int worker_threads = 0;
   // Admission bound: requests queued (not yet executing) beyond this are
   // shed with 429/NACK. This is the daemon's overload valve — it bounds
   // queueing delay, which is what actually kills tail latency.
   size_t admission_queue_limit = 128;
-  // Threads inside each per-sketch EstimationService batch pool. Kept
-  // small: parallelism across requests comes from worker_threads.
-  int batch_threads = 2;
   // Catalog resident-byte budget (0 = unlimited).
   uint64_t catalog_byte_budget = 0;
   // Deadline applied to requests that don't carry their own (0 = none).
@@ -136,26 +132,12 @@ class Daemon {
   void HandleExplain(const std::string& doc, const std::string& query,
                      net::Responder responder);
 
-  // The per-(doc, generation) service for the catalog's current
-  // generation of `doc_id`, creating it on first use. Old generations of
-  // the same doc are dropped from the cache (in-flight holders keep
-  // theirs alive via shared_ptr).
-  util::Result<std::shared_ptr<service::EstimationService>> ServiceFor(
-      const std::string& doc_id, uint64_t* generation_out = nullptr);
-
   // Absolute deadline from a relative ms field (0 = fall back to the
   // configured default; both 0 = none).
   std::optional<Clock::time_point> DeadlineFrom(uint64_t deadline_ms) const;
 
   const DaemonOptions options_;
   std::unique_ptr<service::SketchCatalog> catalog_;
-
-  std::mutex services_mu_;
-  struct CachedService {
-    uint64_t generation = 0;
-    std::shared_ptr<service::EstimationService> service;
-  };
-  std::unordered_map<std::string, CachedService> services_;
 
   struct Metrics {
     obs::Counter* requests;
@@ -168,8 +150,8 @@ class Daemon {
   Metrics metrics_{};
 
   // Destruction order matters: workers hold Responders into server_ and
-  // shared_ptrs into services_/catalog_, so the pool (declared last) is
-  // destroyed/joined first.
+  // handles from catalog_, so the pool (declared last) is destroyed/joined
+  // first.
   std::unique_ptr<net::Server> server_;
   std::unique_ptr<util::ThreadPool> pool_;
 };

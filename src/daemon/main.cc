@@ -40,9 +40,9 @@ void Usage(const char* argv0) {
       "usage: %s --sketch <doc>=<path.xsk3> [--sketch ...]\n"
       "  [--port N]            listen port (default 8331; 0 = ephemeral)\n"
       "  [--bind ADDR]         bind address (default 127.0.0.1)\n"
-      "  [--workers N]         handler threads (default: hardware)\n"
+      "  [--workers N]         handler threads, batches included (default:\n"
+      "                        hardware)\n"
       "  [--admission-limit N] queued requests before shedding (default 128)\n"
-      "  [--batch-threads N]   threads per sketch batch pool (default 2)\n"
       "  [--deadline-ms N]     default per-request deadline (default none)\n"
       "  [--max-connections N] concurrent connections (default 1024)\n"
       "  [--read-timeout-ms N] [--write-timeout-ms N] [--idle-timeout-ms N]\n"
@@ -107,8 +107,6 @@ int main(int argc, char** argv) {
       options.worker_threads = static_cast<int>(next_int());
     } else if (arg == "--admission-limit") {
       options.admission_queue_limit = static_cast<size_t>(next_int());
-    } else if (arg == "--batch-threads") {
-      options.batch_threads = static_cast<int>(next_int());
     } else if (arg == "--deadline-ms") {
       options.default_deadline_ms = static_cast<int>(next_int());
     } else if (arg == "--max-connections") {

@@ -26,6 +26,15 @@ namespace {
 // timeout and invisible next to estimation latency.
 constexpr int kPollTickMs = 20;
 
+// Lingering close after an error reply (413, 431, oversized-frame NACK,
+// ...). Closing a socket with unread input makes the kernel send a RST,
+// which can overtake the reply still in flight and destroy it. So the
+// server shuts down its side once the reply flushes, then reads and drops
+// input until the client's EOF — but never more than these caps, so a
+// client that keeps sending cannot hold the connection open.
+constexpr size_t kLingerMaxBytes = 4 << 20;
+constexpr int64_t kLingerMaxMs = 2000;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -210,7 +219,10 @@ void Server::Run() {
       short events = 0;
       // While a request is in flight (or we are draining) stop reading:
       // back-pressure the socket instead of buffering unbounded input.
-      if (!conn.in_flight && !conn.want_close && !draining) events |= POLLIN;
+      if ((!conn.in_flight && !conn.want_close && !draining) ||
+          conn.lingering) {
+        events |= POLLIN;
+      }
       if (conn.woff < conn.wbuf.size()) events |= POLLOUT;
       pfds.push_back({conn.fd, events, 0});
       pfd_ids.push_back(id);
@@ -310,6 +322,10 @@ void Server::AcceptReady(int64_t now_ms) {
 }
 
 void Server::ReadReady(Conn& conn, int64_t now_ms) {
+  if (conn.lingering) {
+    DiscardInput(conn);
+    return;
+  }
   char buf[16 << 10];
   // Bounded reads per wakeup so one firehose client cannot starve the
   // rest of the loop.
@@ -330,17 +346,35 @@ void Server::ReadReady(Conn& conn, int64_t now_ms) {
     }
     conn.rbuf.append(buf, static_cast<size_t>(n));
     conn.last_read_ms = now_ms;
-    // Hard backstop on buffered input: the protocol parsers enforce
-    // their own limits, but only once they can see a full header.
-    const size_t cap =
-        options_.max_request_bytes + options_.max_header_bytes + 4096;
-    if (conn.rbuf.size() > cap) {
-      FailConn(conn, 413, NackCode::kBadRequest, "request too large");
-      return;
-    }
     if (static_cast<size_t>(n) < sizeof(buf)) break;
   }
+  const uint64_t id = conn.id;
   ParseAndDispatch(conn, now_ms);
+  if (conns_.find(id) == conns_.end()) return;
+  // Hard backstop on buffered input: the protocol parsers enforce their
+  // own limits, but only once they can see a full header. Checked after
+  // parsing, so a request whose header is visible gets its protocol's own
+  // error reply (an XSKB NACK, not an HTTP 413, for a binary client).
+  const size_t cap =
+      options_.max_request_bytes + options_.max_header_bytes + 4096;
+  if (!conn.in_flight && !conn.want_close && conn.rbuf.size() > cap) {
+    FailConn(conn, 413, NackCode::kBadRequest, "request too large");
+  }
+}
+
+void Server::DiscardInput(Conn& conn) {
+  char buf[16 << 10];
+  for (;;) {
+    ssize_t n;
+    do {
+      n = ::recv(conn.fd, buf, sizeof(buf), 0);
+    } while (n < 0 && errno == EINTR);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) break;  // EOF (the clean end) or a dead peer
+    conn.linger_discarded += static_cast<size_t>(n);
+    if (conn.linger_discarded > kLingerMaxBytes) break;
+  }
+  CloseConn(conn.id);
 }
 
 void Server::ParseAndDispatch(Conn& conn, int64_t now_ms) {
@@ -415,7 +449,10 @@ void Server::FailConn(Conn& conn, int http_status, NackCode code,
                                        /*keep_alive=*/false);
   }
   conn.want_close = true;
-  WriteReady(conn, NowMs());
+  conn.lingering = true;
+  conn.linger_since_ms = NowMs();
+  conn.rbuf.clear();
+  WriteReady(conn, conn.linger_since_ms);
 }
 
 void Server::WriteReady(Conn& conn, int64_t now_ms) {
@@ -436,7 +473,12 @@ void Server::WriteReady(Conn& conn, int64_t now_ms) {
   }
   conn.wbuf.clear();
   conn.woff = 0;
-  if (conn.want_close) CloseConn(conn.id);
+  if (!conn.want_close) return;
+  if (conn.lingering) {
+    ::shutdown(conn.fd, SHUT_WR);  // reply complete: send our FIN
+  } else {
+    CloseConn(conn.id);
+  }
 }
 
 void Server::ProcessCompletions() {
@@ -474,7 +516,14 @@ void Server::ProcessCompletions() {
 void Server::SweepTimeouts(int64_t now_ms) {
   std::vector<uint64_t> evict;
   std::vector<uint64_t> fail_read;
+  std::vector<uint64_t> linger_done;
   for (auto& [id, conn] : conns_) {
+    if (conn.lingering) {
+      if (now_ms - conn.linger_since_ms >= kLingerMaxMs) {
+        linger_done.push_back(id);
+      }
+      continue;
+    }
     const bool mid_request = !conn.rbuf.empty() && !conn.in_flight;
     const bool writing = conn.woff < conn.wbuf.size();
     const bool idle = conn.rbuf.empty() && !conn.in_flight && !writing;
@@ -496,6 +545,7 @@ void Server::SweepTimeouts(int64_t now_ms) {
     evicted_slow_.fetch_add(1, std::memory_order_relaxed);
     CloseConn(id);
   }
+  for (uint64_t id : linger_done) CloseConn(id);
   for (uint64_t id : fail_read) {
     auto it = conns_.find(id);
     if (it == conns_.end()) continue;

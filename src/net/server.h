@@ -161,6 +161,11 @@ class Server {
     bool in_flight = false;     // dispatched request awaiting response
     bool want_close = false;    // close once wbuf flushes
     bool cur_keep_alive = true; // keep-alive of the in-flight HTTP request
+    // Error reply queued: once it flushes, shut down our side and read
+    // and discard input until EOF (or the linger caps) before closing.
+    bool lingering = false;
+    int64_t linger_since_ms = 0;
+    size_t linger_discarded = 0;
     // Progress clocks (steady, ms since loop start) for eviction.
     int64_t last_read_ms = 0;
     int64_t last_write_ms = 0;
@@ -177,6 +182,9 @@ class Server {
   void Wake(char code);
   void AcceptReady(int64_t now_ms);
   void ReadReady(Conn& conn, int64_t now_ms);
+  // Reads and drops input on a lingering connection; closes it at EOF or
+  // past the byte cap.
+  void DiscardInput(Conn& conn);
   void WriteReady(Conn& conn, int64_t now_ms);
   // Parses as many complete requests from conn.rbuf as the protocol
   // allows (one at a time per connection: reading pauses while a request

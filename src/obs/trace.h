@@ -61,7 +61,8 @@ enum class Stage : uint8_t {
   kCompile,          // TwigCompiler::Compile (lowering)
   kPlanCache,        // service plan-cache lookup (arg: 1 hit / 0 miss)
   kExecute,          // compiled program execution
-  kInterpret,        // reference-interpreter estimate
+  kInterpret,        // reference-interpreter estimate (no longer emitted
+                     // by the service; kept: stage values never renumber)
   kAudit,            // exact-evaluator accuracy audit of one query
   kBatch,            // EstimateBatch root (arg: query count)
   kBatchChunk,       // one thread-pool task of a batch (arg: chunk size)

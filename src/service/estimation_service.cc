@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -74,11 +73,6 @@ util::Status ServiceOptions::Validate() const {
         "num_threads must be >= 0 (got " + std::to_string(num_threads) +
         "; 0 means hardware concurrency)");
   }
-  if (chunk_size < 0) {
-    return util::Status::InvalidArgument(
-        "chunk_size must be >= 0 (got " + std::to_string(chunk_size) +
-        "; 0 means auto)");
-  }
   if (!(audit_fraction >= 0.0 && audit_fraction <= 1.0)) {
     return util::Status::InvalidArgument(
         "audit_fraction must be in [0, 1] (got " +
@@ -105,11 +99,8 @@ util::Status ServiceOptions::Validate() const {
 util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
     core::TwigXSketch sketch, const ServiceOptions& options) {
   if (util::Status st = options.Validate(); !st.ok()) return st;
-  const int threads = options.num_threads > 0
-                          ? options.num_threads
-                          : util::ThreadPool::HardwareThreads();
   return std::unique_ptr<EstimationService>(
-      new EstimationService(std::move(sketch), options, threads));
+      new EstimationService(std::move(sketch), nullptr, options));
 }
 
 util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
@@ -124,46 +115,30 @@ util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
         "audit mode needs the source document; a frozen-only service has "
         "none (load the XSK2 sketch instead)");
   }
-  if (!options.use_compiled) {
-    return util::Status::InvalidArgument(
-        "frozen-only services execute compiled programs; use_compiled "
-        "must stay enabled");
-  }
-  const int threads = options.num_threads > 0
-                          ? options.num_threads
-                          : util::ThreadPool::HardwareThreads();
   return std::unique_ptr<EstimationService>(
-      new EstimationService(std::move(frozen), options, threads));
-}
-
-EstimationService::EstimationService(core::TwigXSketch sketch,
-                                     const ServiceOptions& options,
-                                     int num_threads)
-    : sketch_(std::move(sketch)),
-      options_(options),
-      frozen_(std::make_shared<const core::FrozenSynopsis>(*sketch_)),
-      compiler_(std::make_unique<const core::TwigCompiler>(frozen_,
-                                                           options.estimator)),
-      pool_(num_threads) {
-  estimator_.emplace(*sketch_, options.estimator);
-  if (options_.audit_fraction > 0.0) {
-    exact_ = std::make_unique<query::ExactEvaluator>(sketch_->doc());
-  }
-  InitMetrics();
+      new EstimationService(std::nullopt, std::move(frozen), options));
 }
 
 EstimationService::EstimationService(
+    std::optional<core::TwigXSketch> sketch,
     std::shared_ptr<const core::FrozenSynopsis> frozen,
-    const ServiceOptions& options, int num_threads)
-    : options_(options),
-      frozen_(std::move(frozen)),
+    const ServiceOptions& options)
+    : sketch_(std::move(sketch)),
+      options_(options),
+      frozen_(frozen != nullptr
+                  ? std::move(frozen)
+                  : std::make_shared<const core::FrozenSynopsis>(*sketch_)),
       compiler_(std::make_unique<const core::TwigCompiler>(frozen_,
                                                            options.estimator)),
-      pool_(num_threads) {
-  InitMetrics();
-}
-
-void EstimationService::InitMetrics() {
+      num_threads_(options.num_threads > 0
+                       ? options.num_threads
+                       : util::ThreadPool::HardwareThreads()) {
+  if (num_threads_ > 1) {
+    pool_ = std::make_unique<util::ThreadPool>(num_threads_);
+  }
+  if (options_.audit_fraction > 0.0) {
+    exact_ = std::make_unique<query::ExactEvaluator>(sketch_->doc());
+  }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   metrics_.batches =
       &reg.GetCounter("xsketch_service_batches_total", "EstimateBatch calls");
@@ -299,28 +274,23 @@ EstimationService::PlanCacheCounters EstimationService::plan_cache_counters()
 }
 
 util::Result<core::EstimateStats> EstimationService::EstimateCompiled(
-    const query::TwigQuery& twig, QueryAttribution* attr,
-    double* execute_us) const {
+    const query::TwigQuery& twig, QueryAttribution* attr) const {
   auto plan = PrepareAttributed(twig, attr);
   if (!plan.ok()) return plan.status();
   obs::SpanScope exec_span(obs::Stage::kExecute);
-  const Clock::time_point exec_start =
-      execute_us != nullptr ? Clock::now() : Clock::time_point{};
+  const Clock::time_point exec_start = Clock::now();
   core::EstimateStats stats = plan.value()->ExecuteWithStats();
-  if (execute_us != nullptr) {
-    *execute_us = MicrosBetween(exec_start, Clock::now());
-  }
+  attr->execute_us = MicrosBetween(exec_start, Clock::now());
   return stats;
 }
 
 void EstimationService::RecordFlight(
     const query::TwigQuery& twig, uint64_t trace_id, QueryAttribution&& attr,
-    double execute_us, double total_us,
-    const util::Result<core::EstimateStats>& result) const {
+    double total_us, const util::Result<core::EstimateStats>& result) const {
   obs::FlightRecord rec;
   rec.trace_id = trace_id;
-  // The interpreter path never encodes a key; do it here so every record
-  // carries its query identity.
+  // A twig that fails validation is rejected before its key is encoded;
+  // do it here so every record carries its query identity.
   rec.twig_key = attr.key.empty() ? CanonicalTwigKey(twig)
                                   : std::move(attr.key);
   rec.sketch_generation = options_.sketch_generation;
@@ -332,7 +302,7 @@ void EstimationService::RecordFlight(
   }
   rec.prepare_us = attr.prepare_us;
   rec.compile_us = attr.compile_us;
-  rec.execute_us = execute_us;
+  rec.execute_us = attr.execute_us;
   rec.total_us = total_us;
   rec.plan_cache_hit = attr.plan_cache_hit;
   obs::FlightRecorder::Default().Record(std::move(rec));
@@ -351,43 +321,25 @@ EstimationService::~EstimationService() = default;
 
 util::Result<core::EstimateStats> EstimationService::Estimate(
     const query::TwigQuery& twig) const {
-  const bool flight = options_.flight_recorder;
   const obs::TraceContext ctx = SampleTrace();
-  const Clock::time_point start =
-      flight ? Clock::now() : Clock::time_point{};
+  const Clock::time_point start = Clock::now();
   QueryAttribution attr;
-  double execute_us = 0.0;
-  std::optional<util::Result<core::EstimateStats>> result;
-  {
-    // Inner scope: the kQuery span must close before the flight record is
-    // taken so slow/error promotion sees the complete tree.
+  util::Result<core::EstimateStats> result = [&] {
+    // The kQuery span must close before the flight record is taken so
+    // slow/error promotion sees the complete tree.
     obs::SpanScope qspan(ctx, obs::Stage::kQuery);
-    if (estimator_.has_value()) {
-      obs::SpanScope interp(obs::Stage::kInterpret);
-      result.emplace(estimator_->EstimateChecked(twig));
-    } else {
-      // Frozen-only service: the compiled path is the only path (and it
-      // is bit-identical to the interpreter by the compile-layer
-      // contract).
-      result.emplace(EstimateCompiled(twig, flight ? &attr : nullptr,
-                                      flight ? &execute_us : nullptr));
-    }
-  }
-  if (flight) {
-    RecordFlight(twig, ctx.trace_id, std::move(attr), execute_us,
-                 MicrosBetween(start, Clock::now()), *result);
-  }
-  return std::move(*result);
+    return EstimateCompiled(twig, &attr);
+  }();
+  RecordFlight(twig, ctx.trace_id, std::move(attr),
+               MicrosBetween(start, Clock::now()), result);
+  return result;
 }
 
 std::vector<util::Result<core::EstimateStats>>
 EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
                                  BatchStats* stats,
-                                 std::optional<Deadline> deadline) {
+                                 std::optional<Deadline> deadline) const {
   const Clock::time_point batch_start = Clock::now();
-  const core::DescendantPathCache::Counters cache_before =
-      estimator_.has_value() ? estimator_->path_cache_counters()
-                             : core::DescendantPathCache::Counters{};
   const auto plans_before = plan_cache_counters();
 
   const size_t n = queries.size();
@@ -403,87 +355,69 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
   // audited (skipped by the sampling mask, or the query failed).
   std::vector<double> audit_errors(n, -1.0);
 
-  size_t chunk = options_.chunk_size > 0
-                     ? static_cast<size_t>(options_.chunk_size)
-                     : n / (static_cast<size_t>(pool_.num_threads()) * 4);
-  chunk = std::max<size_t>(1, chunk);
-
-  std::mutex done_mu;
-  std::condition_variable all_done;
-  size_t pending = 0;
-  for (size_t begin = 0; begin < n; begin += chunk) ++pending;
-
+  // ~4 chunks per worker: bounds scheduling overhead while still
+  // smoothing skewed per-query latencies.
+  const size_t chunk = std::max<size_t>(
+      1, n / (static_cast<size_t>(num_threads_) * 4));
   const obs::TraceContext chunk_ctx = batch_span.context();
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    const size_t end = std::min(n, begin + chunk);
-    pool_.Submit([this, queries, begin, end, chunk_ctx, deadline, &staged,
-                  &latencies_us, &audit_errors, &done_mu, &all_done,
-                  &pending] {
-      // Explicit cross-thread handoff: the chunk span attaches under the
-      // batch envelope (and an unsampled batch suppresses every nested
-      // span on this worker for the chunk's duration).
-      obs::SpanScope chunk_span(chunk_ctx, obs::Stage::kBatchChunk,
-                                end - begin);
-      // Deadline check at the chunk boundary: a chunk starting past the
-      // request deadline is abandoned wholesale — its queries report
-      // DeadlineExceeded and no estimation work runs. Chunks already in
-      // flight finish (cancellation is chunk-granular by design).
-      if (deadline.has_value() && Clock::now() >= *deadline) {
-        for (size_t i = begin; i < end; ++i) {
-          staged[i].emplace(util::Status::DeadlineExceeded(
-              "batch deadline passed before query chunk started"));
-        }
-        metrics_.deadline_abandoned->Increment(end - begin);
-        std::lock_guard<std::mutex> lock(done_mu);
-        if (--pending == 0) all_done.notify_one();
-        return;
-      }
-      metrics_.inflight->Add(static_cast<double>(end - begin));
-      const bool flight = options_.flight_recorder;
+  auto run_chunk = [this, queries, chunk_ctx, deadline, &staged,
+                    &latencies_us, &audit_errors](size_t begin, size_t end) {
+    // Explicit handoff: the chunk span attaches under the batch envelope
+    // (and an unsampled batch suppresses every nested span on a worker
+    // for the chunk's duration).
+    obs::SpanScope chunk_span(chunk_ctx, obs::Stage::kBatchChunk,
+                              end - begin);
+    // Deadline check at the chunk boundary: a chunk starting past the
+    // request deadline is abandoned wholesale — its queries report
+    // DeadlineExceeded and no estimation work runs. Chunks already in
+    // flight finish (cancellation is chunk-granular by design).
+    if (deadline.has_value() && Clock::now() >= *deadline) {
       for (size_t i = begin; i < end; ++i) {
-        const Clock::time_point q_start = Clock::now();
-        QueryAttribution attr;
-        double execute_us = 0.0;
-        {
-          obs::SpanScope qspan(obs::Stage::kQuery, i);
-          if (options_.use_compiled) {
-            staged[i].emplace(
-                EstimateCompiled(queries[i], flight ? &attr : nullptr,
-                                 flight ? &execute_us : nullptr));
-          } else {
-            obs::SpanScope interp(obs::Stage::kInterpret);
-            staged[i].emplace(estimator_->EstimateChecked(queries[i]));
-          }
-        }
-        latencies_us[i] = MicrosBetween(q_start, Clock::now());
-        // Exemplar: the batch's trace id rides along so the latency
-        // histogram can point at the worst window's trace.
-        metrics_.latency_us->Observe(latencies_us[i], chunk_ctx.trace_id);
-        if (flight) {
-          RecordFlight(queries[i], chunk_ctx.trace_id, std::move(attr),
-                       execute_us, latencies_us[i], *staged[i]);
-        }
-        if (staged[i]->ok() && AuditSelected(i)) {
-          // Ground truth on the sampled query: the paper's relative-error
-          // metric |r - c| / max(s, c) (§6.1).
-          obs::SpanScope audit_span(obs::Stage::kAudit, i);
-          const double r = staged[i]->value().estimate;
-          const double c =
-              static_cast<double>(exact_->Selectivity(queries[i]));
-          audit_errors[i] = std::abs(r - c) /
-                            std::max(options_.audit_sanity_bound, c);
-          metrics_.audit_samples->Increment();
-          metrics_.audit_rel_error->Observe(audit_errors[i]);
-        }
+        staged[i].emplace(util::Status::DeadlineExceeded(
+            "batch deadline passed before query chunk started"));
       }
-      metrics_.inflight->Sub(static_cast<double>(end - begin));
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--pending == 0) all_done.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    all_done.wait(lock, [&pending] { return pending == 0; });
+      metrics_.deadline_abandoned->Increment(end - begin);
+      return;
+    }
+    metrics_.inflight->Add(static_cast<double>(end - begin));
+    for (size_t i = begin; i < end; ++i) {
+      const Clock::time_point q_start = Clock::now();
+      QueryAttribution attr;
+      {
+        obs::SpanScope qspan(obs::Stage::kQuery, i);
+        staged[i].emplace(EstimateCompiled(queries[i], &attr));
+      }
+      latencies_us[i] = MicrosBetween(q_start, Clock::now());
+      // Exemplar: the batch's trace id rides along so the latency
+      // histogram can point at the worst window's trace.
+      metrics_.latency_us->Observe(latencies_us[i], chunk_ctx.trace_id);
+      RecordFlight(queries[i], chunk_ctx.trace_id, std::move(attr),
+                   latencies_us[i], *staged[i]);
+      if (staged[i]->ok() && AuditSelected(i)) {
+        // Ground truth on the sampled query: the paper's relative-error
+        // metric |r - c| / max(s, c) (§6.1).
+        obs::SpanScope audit_span(obs::Stage::kAudit, i);
+        const double r = staged[i]->value().estimate;
+        const double c = static_cast<double>(exact_->Selectivity(queries[i]));
+        audit_errors[i] =
+            std::abs(r - c) / std::max(options_.audit_sanity_bound, c);
+        metrics_.audit_samples->Increment();
+        metrics_.audit_rel_error->Observe(audit_errors[i]);
+      }
+    }
+    metrics_.inflight->Sub(static_cast<double>(end - begin));
+  };
+  if (pool_ == nullptr) {
+    for (size_t begin = 0; begin < n; begin += chunk) {
+      run_chunk(begin, std::min(n, begin + chunk));
+    }
+  } else {
+    util::TaskGroup group(pool_.get());
+    for (size_t begin = 0; begin < n; begin += chunk) {
+      const size_t end = std::min(n, begin + chunk);
+      group.Submit([&run_chunk, begin, end] { run_chunk(begin, end); });
+    }
+    group.Wait();
   }
 
   std::vector<util::Result<core::EstimateStats>> results;
@@ -539,16 +473,6 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
       agg.p50_latency_us = util::Percentile(ran, 0.50);
       agg.p95_latency_us = util::Percentile(ran, 0.95);
     }
-    const core::DescendantPathCache::Counters cache_after =
-        estimator_.has_value() ? estimator_->path_cache_counters()
-                               : core::DescendantPathCache::Counters{};
-    agg.cache_lookups = cache_after.lookups - cache_before.lookups;
-    agg.cache_hits = cache_after.hits - cache_before.hits;
-    agg.cache_hit_rate =
-        agg.cache_lookups == 0
-            ? 0.0
-            : static_cast<double>(agg.cache_hits) /
-                  static_cast<double>(agg.cache_lookups);
     const auto plans_after = plan_cache_counters();
     agg.plan_cache_lookups = plans_after.lookups - plans_before.lookups;
     agg.plan_cache_hits = plans_after.hits - plans_before.hits;

@@ -2,25 +2,23 @@
 //
 // The paper's evaluation (§6, Table 2) runs thousand-query workloads
 // against one synopsis; this is the serving-shaped version of that setting:
-// the service owns one immutable Twig XSKETCH plus a shared Estimator and
-// fans batches of twig queries out across a fixed thread pool. Per-query
-// work is independent — the only cross-thread state is the estimator's
-// sharded descendant-path cache — so results are bit-identical to running
-// Estimator::EstimateWithStats sequentially in batch order.
+// the service freezes its sketch into a FrozenSynopsis, lowers queries to
+// CompiledTwig programs through one shared TwigCompiler (core/compile.h),
+// and fans batches out across a fixed thread pool. Compiled execution is
+// the only serving path; it is bit-identical to the reference interpreter
+// (core::Estimator, kept as the test oracle and the XBUILD scorer) —
+// estimates AND EstimateStats counters. Per-query work is independent, so
+// batch results are bit-identical to running the queries sequentially in
+// batch order.
 //
 // Every query is validated first: malformed twigs come back as per-query
 // Status::InvalidArgument entries, never aborts, and never poison the rest
 // of the batch.
 //
-// Prepared execution (the default): the service freezes its sketch into a
-// FrozenSynopsis at construction and lowers queries to CompiledTwig
-// programs through a shared TwigCompiler (core/compile.h). Prepare()
-// returns a shareable program; ExecutePrepared() runs it. EstimateBatch
-// routes through the same compiler via an internal LRU plan cache keyed by
-// the twig's canonical byte encoding, so repeated query shapes skip
-// lowering entirely. Compiled execution is bit-identical to the
-// interpreter — estimates AND EstimateStats counters — so flipping
-// ServiceOptions::use_compiled changes latency, never results.
+// Prepare() returns a shareable program through an internal LRU plan cache
+// keyed by the twig's canonical byte encoding, so repeated query shapes
+// skip lowering entirely; EstimateBatch and Estimate route through the
+// same cache.
 //
 // Audit mode (opt-in via ServiceOptions::audit_fraction): a deterministic
 // sample of each batch is additionally evaluated exactly with
@@ -45,7 +43,6 @@
 #include <vector>
 
 #include "core/compile.h"
-#include "core/estimator.h"
 #include "core/frozen.h"
 #include "core/twig_xsketch.h"
 #include "obs/metrics.h"
@@ -66,19 +63,12 @@ std::string CanonicalTwigKey(const query::TwigQuery& twig);
 
 struct ServiceOptions {
   // Worker threads estimating in parallel. 0 picks the hardware
-  // concurrency; otherwise must be >= 1.
+  // concurrency; otherwise must be >= 1. A one-thread service starts no
+  // worker: EstimateBatch runs on the calling thread.
   int num_threads = 0;
-  // Queries per scheduled task. 0 picks a chunk size that gives each
-  // worker ~4 chunks (bounds scheduling overhead while still smoothing
-  // skewed per-query latencies); otherwise must be >= 1.
-  int chunk_size = 0;
-  // Forwarded to the shared Estimator and TwigCompiler.
+  // Forwarded to the shared TwigCompiler.
   core::EstimatorOptions estimator;
 
-  // Route EstimateBatch through compiled twig programs (bit-identical to
-  // the interpreter; roughly an order of magnitude faster on repeated
-  // query shapes). Prepare/ExecutePrepared work either way.
-  bool use_compiled = true;
   // Compiled programs kept in the LRU plan cache; 0 disables caching
   // (every batch query recompiles); otherwise must be >= 1.
   int plan_cache_capacity = 256;
@@ -107,12 +97,8 @@ struct ServiceOptions {
   // harness's bit-identity-traced invariant).
   double trace_sample_rate = 0.0;
   uint64_t trace_seed = 0;
-  // Always-on flight recorder (obs/flight.h): every completed query
-  // appends a FlightRecord to FlightRecorder::Default(). Disable only to
-  // shave the last bookkeeping from benchmark baselines.
-  bool flight_recorder = true;
-  // Sketch generation stamped into flight records — pass the serving
-  // SketchHandle's generation() when catalog-backed; 0 otherwise.
+  // Sketch generation stamped into flight records — SketchCatalog sets
+  // it for the service each generation owns; 0 otherwise.
   uint64_t sketch_generation = 0;
 
   util::Status Validate() const;
@@ -132,16 +118,9 @@ struct BatchStats {
   double wall_ms = 0.0;           // end-to-end batch wall time
   double p50_latency_us = 0.0;    // per-query estimation latency
   double p95_latency_us = 0.0;
-  // Descendant-path cache activity attributable to this batch: deltas of
-  // the cache's lifetime counters snapshotted before and after the batch,
-  // not lifetime totals. Approximate if batches overlap.
-  uint64_t cache_lookups = 0;
-  uint64_t cache_hits = 0;
-  // cache_hits / cache_lookups (0 when the batch never expanded a '//'
-  // step).
-  double cache_hit_rate = 0.0;
-  // Plan-cache activity attributable to this batch (deltas, like the
-  // path-cache counters above; zero when use_compiled is off).
+  // Plan-cache activity attributable to this batch: deltas of the cache's
+  // lifetime counters snapshotted before and after the batch, not
+  // lifetime totals. Approximate if batches overlap.
   uint64_t plan_cache_lookups = 0;
   uint64_t plan_cache_hits = 0;
   // Accuracy audit (populated only when ServiceOptions::audit_fraction
@@ -169,9 +148,8 @@ class EstimationService {
   // Frozen-only service over an already-frozen synopsis — typically one
   // mmap-loaded from an XSK3 file (core/frozen_io.h). No TwigXSketch, no
   // source document: every estimate runs as a compiled program over the
-  // frozen arrays (bit-identical to the full-sketch service). Rejects
-  // options that need the document or the interpreter (audit_fraction > 0,
-  // use_compiled == false).
+  // frozen arrays, exactly as for the full-sketch service. Rejects
+  // audit_fraction > 0, which needs the document.
   static util::Result<std::unique_ptr<EstimationService>> Create(
       std::shared_ptr<const core::FrozenSynopsis> frozen,
       const ServiceOptions& options = {});
@@ -184,8 +162,9 @@ class EstimationService {
   // Absolute per-request deadline, on the clock EstimateBatch checks.
   using Deadline = std::chrono::steady_clock::time_point;
 
-  // Estimates every query in `queries`, in parallel, preserving order:
-  // result i corresponds to queries[i]. Per-query failures (malformed
+  // Estimates every query in `queries` across the worker pool (on the
+  // calling thread for a one-thread service), preserving order: result i
+  // corresponds to queries[i]. Per-query failures (malformed
   // twigs) surface as failed Results. When `stats` is non-null it
   // receives the batch's aggregate observability.
   //
@@ -199,9 +178,10 @@ class EstimationService {
   std::vector<util::Result<core::EstimateStats>> EstimateBatch(
       std::span<const query::TwigQuery> queries,
       BatchStats* stats = nullptr,
-      std::optional<Deadline> deadline = std::nullopt);
+      std::optional<Deadline> deadline = std::nullopt) const;
 
-  // Single-query convenience: EstimateChecked on the shared estimator.
+  // Single-query convenience: Prepare + ExecutePrepared, traced and
+  // flight-recorded like one batch query.
   util::Result<core::EstimateStats> Estimate(
       const query::TwigQuery& twig) const;
 
@@ -231,25 +211,22 @@ class EstimationService {
   PlanCacheCounters plan_cache_counters() const;
 
   // False for frozen-only services (no TwigXSketch, no source document);
-  // sketch() and estimator() may only be called when this is true.
+  // sketch() may only be called when this is true.
   bool has_sketch() const { return sketch_.has_value(); }
   const core::TwigXSketch& sketch() const { return *sketch_; }
-  const core::Estimator& estimator() const { return *estimator_; }
   const core::TwigCompiler& compiler() const { return *compiler_; }
   const core::FrozenSynopsis& frozen() const { return *frozen_; }
   // Tag names usable for parsing path queries against this service —
   // works in both modes (the frozen synopsis carries its own interner).
   const util::StringInterner& tags() const { return frozen_->tags(); }
-  int num_threads() const { return pool_.num_threads(); }
+  int num_threads() const { return num_threads_; }
 
  private:
-  EstimationService(core::TwigXSketch sketch, const ServiceOptions& options,
-                    int num_threads);
-  EstimationService(std::shared_ptr<const core::FrozenSynopsis> frozen,
-                    const ServiceOptions& options, int num_threads);
-
-  // Registry handles + metric wiring shared by both constructors.
-  void InitMetrics();
+  // `frozen` is null for a full-sketch service (the constructor freezes
+  // `sketch`); `sketch` is empty for a frozen-only one.
+  EstimationService(std::optional<core::TwigXSketch> sketch,
+                    std::shared_ptr<const core::FrozenSynopsis> frozen,
+                    const ServiceOptions& options);
 
   // True iff query `index` of a batch falls in the audit sample
   // (deterministic in (audit_seed, index)).
@@ -264,13 +241,14 @@ class EstimationService {
   // the request's spans attach under the caller's span.
   obs::TraceContext SampleTrace() const;
 
-  // Per-query stage attribution collected by the prepared path for the
-  // flight recorder: the canonical key (encoded once, reused as the
-  // record identity) plus where the prepare time went.
+  // Per-query stage attribution for the flight recorder: the canonical
+  // key (encoded once, reused as the record identity) plus where the time
+  // went.
   struct QueryAttribution {
     std::string key;
     double prepare_us = 0.0;  // plan-cache lookup + compile
     double compile_us = 0.0;  // lowering only (cache misses)
+    double execute_us = 0.0;
     bool plan_cache_hit = false;
   };
 
@@ -279,17 +257,14 @@ class EstimationService {
   util::Result<std::shared_ptr<const core::CompiledTwig>> PrepareAttributed(
       const query::TwigQuery& twig, QueryAttribution* attr) const;
 
-  // One batch query on the prepared path: Prepare + ExecutePrepared, with
-  // optional attribution and kPlanCache/kExecute spans when traced.
+  // One query: Prepare + ExecutePrepared, attributed, with
+  // kPlanCache/kExecute spans when traced.
   util::Result<core::EstimateStats> EstimateCompiled(
-      const query::TwigQuery& twig, QueryAttribution* attr = nullptr,
-      double* execute_us = nullptr) const;
+      const query::TwigQuery& twig, QueryAttribution* attr) const;
 
-  // Appends one completed query to FlightRecorder::Default() (no-op when
-  // ServiceOptions::flight_recorder is off).
+  // Appends one completed query to FlightRecorder::Default().
   void RecordFlight(const query::TwigQuery& twig, uint64_t trace_id,
-                    QueryAttribution&& attr, double execute_us,
-                    double total_us,
+                    QueryAttribution&& attr, double total_us,
                     const util::Result<core::EstimateStats>& result) const;
 
   // Process-wide registry handles (see obs/metrics.h). Shared across all
@@ -323,13 +298,11 @@ class EstimationService {
   };
   using PlanList = std::list<PlanEntry>;
 
-  // Owned sketch + interpreter; absent for frozen-only services. The
-  // estimator references sketch_, so it is declared after it and
-  // destroyed before it.
+  // Owned sketch; absent for frozen-only services. Audit mode evaluates
+  // against its document.
   std::optional<core::TwigXSketch> sketch_;
   ServiceOptions options_;
-  std::optional<core::Estimator> estimator_;  // shared by all workers
-  // Frozen synopsis for the prepared path: self-contained (owns or pins
+  // Frozen synopsis for the compiled path: self-contained (owns or pins
   // its storage), present in both modes.
   std::shared_ptr<const core::FrozenSynopsis> frozen_;
   std::unique_ptr<const core::TwigCompiler> compiler_;
@@ -343,7 +316,9 @@ class EstimationService {
   // ExactEvaluator::Selectivity is const with call-local memoization, so
   // one instance serves all workers concurrently.
   std::unique_ptr<query::ExactEvaluator> exact_;
-  util::ThreadPool pool_;
+  int num_threads_ = 1;
+  // Batch workers; null when num_threads_ == 1 (batches run inline).
+  std::unique_ptr<util::ThreadPool> pool_;
   Metrics metrics_;
   // Request ordinal for the deterministic trace sampling mask; only
   // touched when trace_sample_rate > 0.

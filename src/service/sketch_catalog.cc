@@ -13,8 +13,7 @@ SketchHandle::Prepare(const query::TwigQuery& twig) const {
   if (!valid()) {
     return util::Status::InvalidArgument("empty sketch handle");
   }
-  if (util::Status st = twig.Validate(); !st.ok()) return st;
-  return compiler_->Compile(twig);
+  return service_->Prepare(twig);
 }
 
 util::Result<std::shared_ptr<const core::CompiledTwig>>
@@ -22,7 +21,7 @@ SketchHandle::Prepare(const std::string& path) const {
   if (!valid()) {
     return util::Status::InvalidArgument("empty sketch handle");
   }
-  auto twig = query::ParsePath(path, frozen_->tags());
+  auto twig = query::ParsePath(path, service_->tags());
   if (!twig.ok()) return twig.status();
   return Prepare(twig.value());
 }
@@ -69,9 +68,8 @@ util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
   obs::TraceContext ctx = obs::CurrentTraceContext();
   if (!ctx.sampled()) ctx = obs::Tracer::Default().StartTrace();
   obs::SpanScope load_span(ctx, obs::Stage::kCatalogLoad);
-  // Load and compile outside the lock: a slow mmap + validation of one
-  // document must not stall lookups of the others. On failure the catalog
-  // is untouched.
+  // Load outside the lock: a slow mmap + validation of one document must
+  // not stall lookups of the others. On failure the catalog is untouched.
   util::Result<std::shared_ptr<const core::FrozenSynopsis>> frozen =
       [&] {
         obs::SpanScope mmap_span(obs::Stage::kCatalogMmap);
@@ -92,15 +90,23 @@ util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
 
   SketchHandle handle;
   handle.doc_id_ = doc_id;
-  handle.frozen_ = std::move(frozen).value();
-  handle.size_bytes_ = handle.frozen_->SizeBytes();
-  handle.compiler_ = std::make_shared<const core::TwigCompiler>(
-      handle.frozen_, options_.estimator);
+  handle.size_bytes_ = frozen.value()->SizeBytes();
 
   obs::SpanScope swap_span(obs::Stage::kCatalogSwap);
   std::lock_guard<std::mutex> lock(mu_);
   handle.generation_ = next_generation_++;
   swap_span.set_arg(handle.generation_);
+  // The service is built under the lock because it carries the generation
+  // (stamped into flight records) and generations must install in order.
+  // Construction is cheap: no worker thread, no compilation yet.
+  ServiceOptions service_options;
+  service_options.num_threads = 1;
+  service_options.estimator = options_.estimator;
+  service_options.sketch_generation = handle.generation_;
+  auto service =
+      EstimationService::Create(std::move(frozen).value(), service_options);
+  XS_CHECK(service.ok());  // options validated by SketchCatalog::Create
+  handle.service_ = std::move(service).value();
   ++counters_.loads;
   metrics_.loads->Increment();
   auto it = index_.find(doc_id);

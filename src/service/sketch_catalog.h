@@ -9,13 +9,16 @@
 // touched, and eviction is an munmap away.
 //
 // Concurrency and hot swap: every lookup returns a SketchHandle — an
-// immutable snapshot {frozen synopsis, compiler, generation}. Re-Putting a
-// document id atomically installs a new generation; existing handles (and
-// any CompiledTwig programs prepared through them) keep pinning the old
-// mapping via shared_ptr until they are dropped, so in-flight queries
-// never see a torn swap. The recommended file-replacement protocol is
-// write-to-temp + rename(2) + Put(): the old mapping stays valid because
-// mapped pages survive the rename/unlink of their path.
+// immutable snapshot {generation, EstimationService}. Each generation owns
+// the one service that serves it, and with it the compiler and the plan
+// cache. Re-Putting a document id atomically installs a new generation
+// with an empty plan cache, so stale plans leave with the old handle;
+// existing handles (and any CompiledTwig programs prepared through them)
+// keep pinning the old mapping via shared_ptr until they are dropped, so
+// in-flight queries never see a torn swap. The file-replacement protocol
+// is SaveFrozenToFile (write-to-temp + fsync + rename(2)) + Put(): the old
+// mapping stays valid because mapped pages survive the rename of their
+// path.
 //
 // Budget: the catalog evicts least-recently-used sketches whenever the
 // measured resident total (FrozenSynopsis::SizeBytes of catalog entries)
@@ -42,6 +45,7 @@
 #include "core/frozen_io.h"
 #include "obs/metrics.h"
 #include "query/twig.h"
+#include "service/estimation_service.h"
 #include "util/status.h"
 
 namespace xsketch::service {
@@ -51,7 +55,7 @@ struct CatalogOptions {
   // The most recently installed sketch is never evicted by its own
   // arrival, even when it alone exceeds the budget.
   uint64_t byte_budget = 0;
-  // Forwarded to each sketch's TwigCompiler.
+  // Forwarded to each generation's EstimationService.
   core::EstimatorOptions estimator;
   // Forwarded to LoadFrozenFile for every Put.
   core::FrozenLoadOptions load;
@@ -66,19 +70,21 @@ class SketchHandle {
  public:
   SketchHandle() = default;
 
-  bool valid() const { return frozen_ != nullptr; }
+  bool valid() const { return service_ != nullptr; }
   const std::string& doc_id() const { return doc_id_; }
   // Monotonically increasing per catalog; a re-Put of the same doc id
   // yields a larger generation.
   uint64_t generation() const { return generation_; }
   uint64_t size_bytes() const { return size_bytes_; }
-  const core::FrozenSynopsis& frozen() const { return *frozen_; }
-  std::shared_ptr<const core::FrozenSynopsis> frozen_ptr() const {
-    return frozen_;
-  }
+  const core::FrozenSynopsis& frozen() const { return service_->frozen(); }
+  // The generation's service: one thread (batches run on the caller),
+  // sketch_generation stamped into its flight records, the catalog's
+  // estimator options.
+  const EstimationService& service() const { return *service_; }
 
-  // Lowers a twig against this snapshot. The returned program references
-  // the snapshot's frozen synopsis and keeps it (and the mapping) alive.
+  // Lowers a twig through the service's plan cache. The returned program
+  // references the snapshot's frozen synopsis and keeps it (and the
+  // mapping) alive.
   util::Result<std::shared_ptr<const core::CompiledTwig>> Prepare(
       const query::TwigQuery& twig) const;
   // Parses a '/tag//tag[lo..hi]' path against the snapshot's tag table,
@@ -91,8 +97,7 @@ class SketchHandle {
   std::string doc_id_;
   uint64_t generation_ = 0;
   uint64_t size_bytes_ = 0;
-  std::shared_ptr<const core::FrozenSynopsis> frozen_;
-  std::shared_ptr<const core::TwigCompiler> compiler_;
+  std::shared_ptr<const EstimationService> service_;
 };
 
 class SketchCatalog {

@@ -195,7 +195,6 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
   // Checker attaches the matching record to any failure's repro.
   service::ServiceOptions topts = sopts;
   topts.trace_sample_rate = 1.0;
-  topts.flight_recorder = true;
   auto traced =
       service::EstimationService::Create(core::TwigXSketch(sketch), topts);
   XS_CHECK(traced.ok());

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 
 #include "testing/faultpoints.h"
@@ -18,6 +19,29 @@ int OpenRetry(const char* path, int flags, mode_t mode = 0) {
     const int fd = ::open(path, flags, mode);
     if (fd >= 0 || errno != EINTR) return fd;
   }
+}
+
+// Writes all of `bytes` to `fd` (fsyncing first when `sync`) and closes
+// it, whatever the outcome.
+Status WriteAndClose(int fd, const std::string& path, const std::string& bytes,
+                     bool sync) {
+  long wrote = bytes.empty() ? 0 : RetryWrite(fd, bytes.data(), bytes.size());
+  if (wrote >= 0 && XS_FAULT("posix_io.short_write")) {
+    errno = ENOSPC;
+    wrote = -1;  // injected device-full
+  }
+  if (wrote >= 0 && sync && ::fsync(fd) != 0) wrote = -1;
+  if (wrote < 0) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    return Status::Internal("write error on " + path + ": " + err);
+  }
+  if (::close(fd) != 0 && errno != EINTR) {
+    // close() reports deferred write errors on some filesystems; EINTR
+    // after close leaves the fd state unspecified — do not retry close.
+    return Status::Internal("close " + path + ": " + std::strerror(errno));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -102,22 +126,30 @@ Status WriteStringToFile(const std::string& path, const std::string& bytes) {
     return Status::NotFound("cannot open " + path + ": " +
                             std::strerror(errno));
   }
-  long wrote = bytes.empty() ? 0 : RetryWrite(fd, bytes.data(), bytes.size());
-  if (wrote >= 0 && XS_FAULT("posix_io.short_write")) {
-    errno = ENOSPC;
-    wrote = -1;  // injected device-full
+  return WriteAndClose(fd, path, bytes, /*sync=*/false);
+}
+
+Status WriteFileAtomically(const std::string& path, const std::string& bytes) {
+  if (XS_FAULT("posix_io.open")) {
+    return Status::NotFound("cannot open " + path +
+                            ": injected fault (posix_io.open)");
   }
-  if (wrote < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("write error on " + path + ": " + err);
+  // Same directory as `path`, so the rename never crosses filesystems.
+  std::string tmp = path + ".tmp.XXXXXX";
+  const int fd = ::mkostemp(tmp.data(), O_CLOEXEC);
+  if (fd < 0) {
+    return Status::NotFound("cannot create a temp file next to " + path +
+                            ": " + std::strerror(errno));
   }
-  if (::close(fd) != 0 && errno != EINTR) {
-    // close() reports deferred write errors on some filesystems; EINTR
-    // after close leaves the fd state unspecified — do not retry close.
-    return Status::Internal("close " + path + ": " + std::strerror(errno));
+  // mkostemp creates 0600; sketch files are published world-readable.
+  ::fchmod(fd, 0644);
+  Status st = WriteAndClose(fd, tmp, bytes, /*sync=*/true);
+  if (st.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = Status::Internal("rename " + tmp + " -> " + path + ": " +
+                          std::strerror(errno));
   }
-  return Status::OK();
+  if (!st.ok()) ::unlink(tmp.c_str());
+  return st;
 }
 
 }  // namespace xsketch::util

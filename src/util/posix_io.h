@@ -28,6 +28,14 @@ Status ReadFileToString(const std::string& path, std::string* out);
 // EINTR and partial writes until everything is on its way to the kernel.
 Status WriteStringToFile(const std::string& path, const std::string& bytes);
 
+// Publishes `bytes` at `path` atomically: writes a temp file in the same
+// directory, fsyncs it, then rename(2)s it over `path`. A process that
+// has the old file mmap'ed keeps reading the old inode (truncating it in
+// place would SIGBUS that reader), and a concurrent open sees either the
+// old file or the complete new one. On failure `path` is untouched and
+// the temp file is removed. Same faultpoints as WriteStringToFile.
+Status WriteFileAtomically(const std::string& path, const std::string& bytes);
+
 // read(2)/write(2) in a retry loop: returns the number of bytes
 // transferred (which is < n only at EOF for reads), or -1 with errno set
 // on a real error. Exposed for the network layer's tests.

@@ -34,7 +34,7 @@
 //               post-mortems)
 //   util::      Status / Result, ThreadPool
 // These are the extension points; api:: is sugar over them, and handles
-// from the two tiers interoperate (Session exposes its service/estimator).
+// from the two tiers interoperate (Session exposes its service).
 //
 // Tier 3 — everything under src/ NOT reachable from this header (hist/,
 // cst/, synopsis internals, util/simd.h): implementation detail, no
@@ -126,12 +126,13 @@ class PreparedQuery {
 
 // One synopsis opened for querying: owns the sketch, the frozen synopsis,
 // the compiler with its cross-query expansion cache, the LRU plan cache,
-// and the batch thread pool (all via the underlying EstimationService).
+// and the batch thread pool (all via the underlying EstimationService;
+// a one-thread session runs batches on the calling thread).
 // Copyable shared handle; all methods are const and thread-safe.
 class Session {
  public:
-  // Takes ownership of `sketch`. Options default to compiled execution
-  // with hardware-concurrency batching; see service::ServiceOptions.
+  // Takes ownership of `sketch`. Options default to hardware-concurrency
+  // batching; see service::ServiceOptions.
   static util::Result<Session> Open(core::TwigXSketch sketch,
                                     const service::ServiceOptions& options =
                                         {}) {
@@ -143,7 +144,7 @@ class Session {
 
   // Opens a session over an already-frozen synopsis — typically one
   // mmap-loaded from an XSK3 file. The session has no source document or
-  // interpreter: Explain and audit mode are unavailable, everything else
+  // sketch: Explain and audit mode are unavailable, everything else
   // (Prepare / Execute / ExecuteBatch) is bit-identical to the heap path.
   static util::Result<Session> Open(
       std::shared_ptr<const core::FrozenSynopsis> frozen,
@@ -214,7 +215,9 @@ class Session {
   // Full explain trace of one estimate, via the reference interpreter
   // (the trace records every E/U/D term; trace->estimate() and the
   // returned estimate are bit-identical to the compiled path's output).
-  // Unavailable on frozen-only sessions (no interpreter).
+  // Explain is a diagnostic, not a serving path: each call builds its own
+  // interpreter over the session's sketch. Unavailable on frozen-only
+  // sessions (no sketch to interpret).
   util::Result<core::EstimateStats> Explain(const query::TwigQuery& twig,
                                             obs::ExplainTrace* trace) const {
     if (!service_->has_sketch()) {
@@ -223,7 +226,9 @@ class Session {
           "opened from a frozen (XSK3) sketch");
     }
     if (util::Status st = twig.Validate(); !st.ok()) return st;
-    return service_->estimator().EstimateWithTrace(twig, trace);
+    const core::Estimator estimator(service_->sketch(),
+                                    service_->compiler().options());
+    return estimator.EstimateWithTrace(twig, trace);
   }
 
   // Tier-2 interop. sketch() may only be called when has_sketch() is

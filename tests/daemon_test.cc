@@ -30,15 +30,12 @@
 #include "service/estimation_service.h"
 #include "testing/faultpoints.h"
 #include "util/percentiles.h"
+#include "test_env.h"
 
 namespace xsketch {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 // --- tiny blocking clients ----------------------------------------------
 
@@ -157,7 +154,7 @@ class DaemonTest : public ::testing::Test {
     // One shared sketch file for the whole suite.
     xml::Document doc = data::MakeBibliography();
     const core::FrozenSynopsis frozen(core::TwigXSketch::Coarsest(doc));
-    sketch_path_ = new std::string(TempPath("daemon_test.xsk3"));
+    sketch_path_ = new std::string(UniqueTempPath("daemon_test.xsk3"));
     ASSERT_TRUE(core::SaveFrozenToFile(frozen, *sketch_path_).ok());
   }
 
@@ -326,6 +323,40 @@ TEST_F(DaemonTest, RequestSizeLimits) {
   auto nack = net::DecodeNack(frame.payload);
   ASSERT_TRUE(nack.ok());
   EXPECT_EQ(nack.value().first, net::NackCode::kBadRequest);
+}
+
+// Every document is served by its catalog generation's one-thread
+// service, on the daemon worker that admitted the request: serving more
+// documents never adds threads.
+TEST_F(DaemonTest, ServingManyDocumentsAddsNoThreads) {
+  daemon::DaemonOptions options;
+  options.worker_threads = 2;
+  std::vector<std::string> docs = {"bib"};  // StartDaemon adds "bib"
+  for (int d = 0; d < 8; ++d) {
+    docs.push_back("doc" + std::to_string(d));
+    options.sketches.emplace_back(docs.back(), *sketch_path_);
+  }
+  StartDaemon(std::move(options));
+  // Create's workers plus this test's event-loop thread.
+  const size_t threads = ProcessThreadCount();
+
+  for (const std::string& doc : docs) {
+    auto resp = HttpRoundTrip(
+        port(), "POST", "/batch",
+        R"({"doc":")" + doc + R"(","queries":["//book","//book/author"]})");
+    EXPECT_EQ(resp.status, 200) << doc << ": " << resp.body;
+    BinaryClient client(port());
+    ASSERT_TRUE(client.ok());
+    net::WireBatchRequest req;
+    req.doc = doc;
+    req.queries = {"//book", "//article"};
+    ASSERT_TRUE(
+        client.SendFrame(net::FrameType::kBatch, net::EncodeBatchRequest(req)));
+    net::WireFrame frame;
+    ASSERT_TRUE(client.ReadFrame(&frame));
+    EXPECT_EQ(frame.type, static_cast<uint8_t>(net::FrameType::kBatchOk));
+  }
+  EXPECT_EQ(ProcessThreadCount(), threads);
 }
 
 // --- deadlines -----------------------------------------------------------

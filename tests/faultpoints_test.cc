@@ -23,6 +23,7 @@
 #include "testing/faultpoints.h"
 #include "util/mmap_file.h"
 #include "util/posix_io.h"
+#include "test_env.h"
 
 namespace xsketch {
 namespace {
@@ -31,10 +32,6 @@ using testing::FaultPoints;
 
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
 }
 
 // Every test leaves the process-wide registry clean: faultpoints are
@@ -133,7 +130,7 @@ TEST_F(FaultPointsTest, ArmFromEnvParsesAndSkipsTypos) {
 // --- instrumented IO sites ----------------------------------------------
 
 TEST_F(FaultPointsTest, PosixIoInjectedFailures) {
-  const std::string path = TempPath("fp_io.bin");
+  const std::string path = UniqueTempPath("fp_io.bin");
   const std::string payload(8192, 'x');
   ASSERT_TRUE(util::WriteStringToFile(path, payload).ok());
 
@@ -162,7 +159,7 @@ TEST_F(FaultPointsTest, PosixIoInjectedFailures) {
 }
 
 TEST_F(FaultPointsTest, MmapInjectedFailures) {
-  const std::string path = TempPath("fp_map.bin");
+  const std::string path = UniqueTempPath("fp_map.bin");
   ASSERT_TRUE(util::WriteStringToFile(path, std::string(4096, 'm')).ok());
 
   FaultPoints::Default().Arm("mmap_file.open");
@@ -183,7 +180,7 @@ TEST_F(FaultPointsTest, MmapInjectedFailures) {
 TEST_F(FaultPointsTest, SketchFileIoSurvivesInjectedFaults) {
   xml::Document doc = data::MakeBibliography();
   const core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
-  const std::string path = TempPath("fp_sketch.xsk2");
+  const std::string path = UniqueTempPath("fp_sketch.xsk2");
   ASSERT_TRUE(core::SaveSketchToFile(sketch, path).ok());
 
   FaultPoints::Default().Arm("posix_io.short_read");
@@ -200,7 +197,7 @@ TEST_F(FaultPointsTest, SketchFileIoSurvivesInjectedFaults) {
 TEST_F(FaultPointsTest, CatalogHotSwapLoadFailureKeepsServing) {
   xml::Document doc = data::MakeBibliography();
   const core::FrozenSynopsis frozen(core::TwigXSketch::Coarsest(doc));
-  const std::string path = TempPath("fp_catalog.xsk3");
+  const std::string path = UniqueTempPath("fp_catalog.xsk3");
   ASSERT_TRUE(core::SaveFrozenToFile(frozen, path).ok());
 
   auto catalog = service::SketchCatalog::Create();

@@ -28,10 +28,12 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 # over a shared immutable StreamIndex — ASan checks the range probes);
 # plan_test hammers Session::Plan and Prepare from concurrent threads
 # (the planner's cardinality calls ride the service's LRU plan cache,
-# the same shared state compile_test covers, now under a second caller).
+# the same shared state compile_test covers, now under a second caller);
+# xsk3_test maps sketch files, hot-swaps catalog generations (each with
+# its own service and plan cache) and republishes a file while mapped.
 TARGETS=(service_test estimator_test builder_test obs_test trace_test
          compile_test faultpoints_test daemon_test exec_test plan_test
-         differential_test)
+         xsk3_test differential_test)
 MODES=("${@:-thread address}")
 
 for MODE in ${MODES[@]}; do

@@ -10,6 +10,7 @@
 #include "data/imdb.h"
 #include "query/workload.h"
 #include "query/xpath_parser.h"
+#include "test_env.h"
 
 namespace xsketch::core {
 namespace {
@@ -124,7 +125,7 @@ TEST(SerializeTest, RejectsLegacyXsk1WithClearError) {
 TEST(SerializeTest, FileRoundTrip) {
   xml::Document doc = data::MakeBibliography();
   TwigXSketch original = TwigXSketch::Coarsest(doc);
-  const std::string path = ::testing::TempDir() + "/sketch.xsk";
+  const std::string path = UniqueTempPath("sketch.xsk");
   ASSERT_TRUE(SaveSketchToFile(original, path).ok());
   auto restored = LoadSketchFromFile(path, doc);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "query/workload.h"
 #include "query/xpath_parser.h"
 #include "service/estimation_service.h"
+#include "test_env.h"
 #include "util/thread_pool.h"
 
 namespace xsketch::service {
@@ -138,7 +140,7 @@ TEST(EstimationServiceTest, BatchMatchesSequentialBitIdentical) {
 
 TEST(EstimationServiceTest, BatchStatsAggregates) {
   // The generated workload alone never expands a non-root '//' step, so
-  // mix in explicit descendant queries to exercise the path cache.
+  // mix in explicit descendant queries.
   std::vector<query::TwigQuery> queries = WorkloadQueries();
   for (const char* p : {"//person//name", "//open_auction//increase",
                         "//text//keyword"}) {
@@ -158,30 +160,13 @@ TEST(EstimationServiceTest, BatchStatsAggregates) {
   EXPECT_GT(stats.wall_ms, 0.0);
   EXPECT_GE(stats.p95_latency_us, stats.p50_latency_us);
   EXPECT_GT(stats.uniformity_terms + stats.covered_terms, 0);
-  // Default (compiled) path: every query is a plan-cache lookup, and a
-  // second identical batch reuses every program.
+  // Every query is a plan-cache lookup, and a second identical batch
+  // reuses every program.
   EXPECT_EQ(stats.plan_cache_lookups, queries.size());
   BatchStats again;
   svc.value()->EstimateBatch(queries, &again);
   EXPECT_EQ(again.plan_cache_lookups, queries.size());
   EXPECT_EQ(again.plan_cache_hits, queries.size());
-  // Plan hits skip estimation entirely, so the '//' path cache sees no
-  // traffic on the repeat batch.
-  EXPECT_EQ(again.cache_lookups, 0u);
-
-  // Interpreted path: the workload's '//' steps hit the estimator's path
-  // cache instead; a second identical batch is all hits there.
-  ServiceOptions iopts = opts;
-  iopts.use_compiled = false;
-  auto interp = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), iopts);
-  ASSERT_TRUE(interp.ok());
-  BatchStats istats;
-  interp.value()->EstimateBatch(queries, &istats);
-  EXPECT_EQ(istats.plan_cache_lookups, 0u);
-  BatchStats iagain;
-  interp.value()->EstimateBatch(queries, &iagain);
-  EXPECT_EQ(iagain.cache_hit_rate, 1.0);
 }
 
 TEST(EstimationServiceTest, MalformedQueriesFailPerQueryNotPerBatch) {
@@ -214,6 +199,47 @@ TEST(EstimationServiceTest, EmptyBatch) {
   auto results = svc.value()->EstimateBatch({}, &stats);
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(stats.queries, 0u);
+}
+
+// A one-thread service starts no worker and runs batches on the calling
+// thread, with the same results as a pooled service.
+TEST(EstimationServiceTest, OneThreadServiceRunsBatchesOnTheCaller) {
+  const std::vector<query::TwigQuery> queries = WorkloadQueries();
+  const size_t threads_before = ProcessThreadCount();
+  ServiceOptions one;
+  one.num_threads = 1;
+  auto inline_svc = EstimationService::Create(
+      core::TwigXSketch::Coarsest(XMarkDoc()), one);
+  ASSERT_TRUE(inline_svc.ok());
+  EXPECT_EQ(inline_svc.value()->num_threads(), 1);
+  EXPECT_EQ(ProcessThreadCount(), threads_before);
+
+  ServiceOptions four;
+  four.num_threads = 4;
+  auto pooled = EstimationService::Create(
+      core::TwigXSketch::Coarsest(XMarkDoc()), four);
+  ASSERT_TRUE(pooled.ok());
+  const auto got = inline_svc.value()->EstimateBatch(queries);
+  const auto want = pooled.value()->EstimateBatch(queries);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].ok() && want[i].ok()) << i;
+    EXPECT_EQ(std::memcmp(&got[i].value().estimate,
+                          &want[i].value().estimate, sizeof(double)),
+              0)
+        << i;
+  }
+
+  // The chunk-boundary deadline contract holds inline too.
+  BatchStats stats;
+  const auto expired = inline_svc.value()->EstimateBatch(
+      queries, &stats, std::chrono::steady_clock::now());
+  EXPECT_TRUE(stats.deadline_exceeded);
+  EXPECT_EQ(stats.abandoned, queries.size());
+  for (const auto& r : expired) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kDeadlineExceeded);
+  }
 }
 
 // --- Shared path cache under contention (ThreadSanitizer target) --------
@@ -273,7 +299,6 @@ TEST(SharedPathCacheTest, ConcurrentBatchesShareOneCache) {
   const std::vector<query::TwigQuery> queries = WorkloadQueries();
   ServiceOptions opts;
   opts.num_threads = 8;
-  opts.chunk_size = 1;  // maximize interleaving
   auto svc = EstimationService::Create(
       core::TwigXSketch::Coarsest(XMarkDoc()), opts);
   ASSERT_TRUE(svc.ok());

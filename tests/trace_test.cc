@@ -514,7 +514,7 @@ TEST_F(FlightTest, ServiceRecordsEveryBatchQuery) {
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   const std::vector<query::TwigQuery> queries = BibQueries(doc);
 
-  service::ServiceOptions opts;  // flight_recorder defaults to on
+  service::ServiceOptions opts;  // the flight recorder is always on
   opts.num_threads = 2;
   opts.sketch_generation = 7;
   auto svc = service::EstimationService::Create(sketch, opts);
@@ -543,17 +543,6 @@ TEST_F(FlightTest, ServiceRecordsEveryBatchQuery) {
       rec.FindByKey(service::CanonicalTwigKey(queries.front()), &dup));
   EXPECT_TRUE(dup.plan_cache_hit);
   EXPECT_EQ(dup.compile_us, 0.0);  // cache hits never re-lower
-
-  // Recorder off: nothing is recorded.
-  rec.Reset();
-  service::ServiceOptions off = opts;
-  off.flight_recorder = false;
-  auto svc_off = service::EstimationService::Create(sketch, off);
-  ASSERT_TRUE(svc_off.ok());
-  for (const auto& r : svc_off.value()->EstimateBatch(queries)) {
-    EXPECT_TRUE(r.ok());
-  }
-  EXPECT_EQ(rec.counters().recorded, 0u);
 }
 
 TEST_F(FlightTest, ConcurrentRecordersAndDumpers) {

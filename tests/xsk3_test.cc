@@ -24,16 +24,13 @@
 #include "service/sketch_catalog.h"
 #include "util/mmap_file.h"
 #include "xsketch_api.h"
+#include "test_env.h"
 
 namespace xsketch {
 namespace {
 
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
 }
 
 void WriteFile(const std::string& path, const std::string& bytes) {
@@ -117,7 +114,7 @@ void ExpectBitIdenticalPrograms(const core::TwigXSketch& sketch,
   ASSERT_TRUE(image.ok()) << image.status().ToString();
 
   // Through the mmap path: write to disk, map, load.
-  const std::string path = TempPath("roundtrip.xsk3");
+  const std::string path = UniqueTempPath("roundtrip.xsk3");
   ASSERT_TRUE(core::SaveFrozenToFile(*frozen, path).ok());
   core::FrozenLoadOptions opts;
   opts.verify_checksums = true;
@@ -183,7 +180,7 @@ TEST(Xsk3SessionTest, OpenMappedMatchesHeapSession) {
   xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   const core::FrozenSynopsis frozen(sketch);
-  const std::string path = TempPath("session.xsk3");
+  const std::string path = UniqueTempPath("session.xsk3");
   ASSERT_TRUE(core::SaveFrozenToFile(frozen, path).ok());
 
   auto heap = api::Session::Open(core::TwigXSketch(sketch));
@@ -215,7 +212,7 @@ TEST(Xsk3SessionTest, OpenMappedMatchesHeapSession) {
   auto pq = mapped.value().Prepare("//item");
   EXPECT_TRUE(pq.ok()) << pq.status().ToString();
 
-  // Explain needs the interpreter.
+  // Explain needs a sketch to interpret.
   obs::ExplainTrace trace;
   auto ex = mapped.value().Explain(queries.front(), &trace);
   EXPECT_FALSE(ex.ok());
@@ -228,7 +225,7 @@ TEST(Xsk3SessionTest, OpenMappedMatchesHeapSession) {
   EXPECT_TRUE(std::isfinite(after));
 }
 
-TEST(Xsk3SessionTest, FrozenServiceRejectsAuditAndInterpreter) {
+TEST(Xsk3SessionTest, FrozenServiceRejectsAudit) {
   xml::Document doc = data::MakeBibliography();
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   const auto frozen = std::make_shared<const core::FrozenSynopsis>(sketch);
@@ -237,11 +234,46 @@ TEST(Xsk3SessionTest, FrozenServiceRejectsAuditAndInterpreter) {
   audit.audit_fraction = 0.5;
   EXPECT_FALSE(service::EstimationService::Create(frozen, audit).ok());
 
-  service::ServiceOptions interp;
-  interp.use_compiled = false;
-  EXPECT_FALSE(service::EstimationService::Create(frozen, interp).ok());
-
   EXPECT_TRUE(service::EstimationService::Create(frozen, {}).ok());
+}
+
+// Republishing a sketch file that a process has mapped: the file is
+// replaced by rename, never truncated in place (which would SIGBUS the
+// reader), so the old mapping keeps serving bit for bit while the next
+// load sees the new image.
+TEST(Xsk3SessionTest, RepublishWhileMappedKeepsOldMapping) {
+  xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
+  const std::string path = UniqueTempPath("republish.xsk3");
+  ASSERT_TRUE(core::SaveFrozenToFile(
+                  core::FrozenSynopsis(core::TwigXSketch::Coarsest(doc)),
+                  path)
+                  .ok());
+  auto mapped = core::LoadFrozenFile(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const core::TwigCompiler compiler(mapped.value());
+  std::vector<std::shared_ptr<const core::CompiledTwig>> plans;
+  std::vector<double> before;
+  for (const auto& q : SomeQueries(doc, 16)) {
+    auto plan = compiler.Compile(q);
+    ASSERT_TRUE(plan.ok());
+    before.push_back(plan.value()->Execute());
+    plans.push_back(std::move(plan).value());
+  }
+
+  xml::Document bib = data::MakeBibliography();
+  const core::FrozenSynopsis smaller(core::TwigXSketch::Coarsest(bib));
+  ASSERT_LT(smaller.SizeBytes(), mapped.value()->SizeBytes());
+  ASSERT_TRUE(core::SaveFrozenToFile(smaller, path).ok());
+
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_TRUE(BitEqual(plans[i]->Execute(), before[i])) << i;
+  }
+  auto reloaded = core::LoadFrozenFile(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  auto reloaded_image = core::SaveFrozen(*reloaded.value());
+  auto smaller_image = core::SaveFrozen(smaller);
+  ASSERT_TRUE(reloaded_image.ok() && smaller_image.ok());
+  EXPECT_EQ(reloaded_image.value(), smaller_image.value());
 }
 
 // --- hostile-input sweeps ------------------------------------------------
@@ -378,11 +410,12 @@ TEST(Xsk3HardeningTest, PatchedHeaderFieldsRejected) {
 // --- MappedFile ----------------------------------------------------------
 
 TEST(MappedFileTest, ErrorsAndEmptyFiles) {
-  EXPECT_FALSE(util::MappedFile::Open(TempPath("does_not_exist")).ok());
+  EXPECT_FALSE(
+      util::MappedFile::Open(UniqueTempPath("does_not_exist")).ok());
   // A directory is not mappable sketch storage.
   EXPECT_FALSE(util::MappedFile::Open(::testing::TempDir()).ok());
   // Zero-length file: mappable (no pages), but not a valid XSK3 image.
-  const std::string path = TempPath("empty.bin");
+  const std::string path = UniqueTempPath("empty.bin");
   WriteFile(path, "");
   auto mapped = util::MappedFile::Open(path);
   ASSERT_TRUE(mapped.ok());
@@ -395,7 +428,7 @@ TEST(MappedFileTest, ErrorsAndEmptyFiles) {
 std::string SaveSketchAs(const core::TwigXSketch& sketch,
                          const std::string& name) {
   const core::FrozenSynopsis frozen(sketch);
-  const std::string path = TempPath(name);
+  const std::string path = UniqueTempPath(name);
   EXPECT_TRUE(core::SaveFrozenToFile(frozen, path).ok());
   return path;
 }
@@ -434,7 +467,8 @@ TEST(SketchCatalogTest, PutGetRemoveAndStats) {
   EXPECT_EQ(catalog.value()->stats().resident_bytes, 0u);
 
   // Load failure leaves the catalog unchanged and is counted.
-  EXPECT_FALSE(catalog.value()->Put("bad", TempPath("missing.xsk3")).ok());
+  EXPECT_FALSE(
+      catalog.value()->Put("bad", UniqueTempPath("missing.xsk3")).ok());
   EXPECT_EQ(catalog.value()->stats().load_failures, 1u);
 }
 
@@ -462,12 +496,22 @@ TEST(SketchCatalogTest, HotSwapPinsOldGeneration) {
   EXPECT_EQ(catalog.value()->stats().swaps, 1u);
   EXPECT_EQ(catalog.value()->stats().sketches, 1u);
 
+  // The new generation owns a fresh service: its plan cache starts
+  // empty, and the old generation's plan stays with the old handle.
+  const auto fresh = h2.value().service().plan_cache_counters();
+  EXPECT_EQ(fresh.size, 0u);
+  EXPECT_EQ(fresh.lookups, 0u);
+  EXPECT_EQ(h1.value().service().plan_cache_counters().size, 1u);
+  EXPECT_EQ(h2.value().service().num_threads(), 1);
+
   // The old handle (and its compiled program) still serve the old
-  // snapshot, bit for bit.
+  // snapshot, bit for bit; re-preparing through it hits its own cache.
   EXPECT_TRUE(BitEqual(plan1.value()->Execute(), before));
   auto plan1b = h1.value().Prepare(std::string("//book"));
   ASSERT_TRUE(plan1b.ok());
+  EXPECT_EQ(plan1b.value(), plan1.value());
   EXPECT_TRUE(BitEqual(plan1b.value()->Execute(), before));
+  EXPECT_EQ(h1.value().service().plan_cache_counters().hits, 1u);
 
   // New lookups see the new generation.
   auto current = catalog.value()->Get("doc");
@@ -575,7 +619,7 @@ TEST(Xsk2FileTest, TruncatedFileOnDiskIsAnError) {
   xml::Document doc = data::MakeBibliography();
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   const std::string bytes = core::SaveSketch(sketch);
-  const std::string path = TempPath("trunc.xsk2");
+  const std::string path = UniqueTempPath("trunc.xsk2");
 
   // Full file round-trips.
   WriteFile(path, bytes);
@@ -596,7 +640,8 @@ TEST(Xsk2FileTest, UnreadablePathIsAnError) {
   // Reading a directory: open(2) succeeds on Linux but every read fails —
   // the loader must surface an I/O error, not parse an empty buffer.
   EXPECT_FALSE(core::LoadSketchFromFile(::testing::TempDir(), doc).ok());
-  EXPECT_FALSE(core::LoadSketchFromFile(TempPath("nope.xsk2"), doc).ok());
+  EXPECT_FALSE(
+      core::LoadSketchFromFile(UniqueTempPath("nope.xsk2"), doc).ok());
 }
 
 }  // namespace
