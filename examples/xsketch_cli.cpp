@@ -25,12 +25,12 @@
 //                       "<doc-id> <path.xsk3>"), optionally estimate Q
 //                       against every document, print catalog stats
 //   xsketch_cli trace   <doc> <query>... [--sketch FILE] [--out FILE]
-//                       [--binary FILE] [--flight]
-//                       run the queries fully traced (parse -> plan cache
-//                       -> compile -> execute, batch fan-out) and emit
-//                       Chrome trace_event JSON (chrome://tracing /
-//                       Perfetto); --binary also writes the compact XTR1
-//                       dump; --flight appends the flight-recorder JSON
+//                       [--flight]
+//                       run the queries fully traced under one forced
+//                       trace root (parse -> plan cache -> compile ->
+//                       execute, batch fan-out) and emit Chrome
+//                       trace_event JSON (chrome://tracing / Perfetto);
+//                       --flight appends the flight-recorder JSON
 //   xsketch_cli metrics [--prom]
 //                       dump the process metrics registry as JSON
 //                       (default) or Prometheus text
@@ -75,7 +75,7 @@ int Usage() {
                "  xsketch_cli catalog <spec-file> [--budget-mb MB] "
                "[--query Q]\n"
                "  xsketch_cli trace <doc> <query>... [--sketch FILE] "
-               "[--out FILE] [--binary FILE] [--flight]\n"
+               "[--out FILE] [--flight]\n"
                "  xsketch_cli metrics [--prom]\n"
                "<doc>: XML file path, or xmark|imdb|sprot[:scale]\n"
                "[threads]: 0 = hardware concurrency (default)\n"
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
   if (!LoadDoc(argv[2], &doc)) return 1;
 
   if (cmd == "trace") {
-    std::string sketch_file, out_file, binary_file;
+    std::string sketch_file, out_file;
     bool dump_flight = false;
     std::vector<const char*> query_args;
     for (int i = 3; i < argc; ++i) {
@@ -298,9 +298,6 @@ int main(int argc, char** argv) {
       } else if (arg == "--out") {
         if (++i >= argc) return Usage();
         out_file = argv[i];
-      } else if (arg == "--binary") {
-        if (++i >= argc) return Usage();
-        binary_file = argv[i];
       } else if (arg == "--flight") {
         dump_flight = true;
       } else {
@@ -320,7 +317,7 @@ int main(int argc, char** argv) {
     }
 
     obs::Tracer& tracer = obs::Tracer::Default();
-    tracer.Configure(obs::Tracer::Options{});  // defaults + clean rings
+    tracer.Reset();
     obs::FlightRecorder::Default().Reset();
 
     auto svc = service::EstimationService::Create(std::move(sketch));
@@ -422,24 +419,6 @@ int main(int argc, char** argv) {
       }
       std::printf("wrote %zu bytes of trace_event JSON to %s\n",
                   chrome.size(), out_file.c_str());
-    }
-    if (!binary_file.empty()) {
-      const std::string blob = obs::Tracer::ToBinary(spans);
-      auto round_trip = obs::Tracer::FromBinary(blob);
-      if (!round_trip.ok() || round_trip.value().size() != spans.size()) {
-        std::fprintf(stderr, "binary dump failed self-check: %s\n",
-                     round_trip.ok() ? "span count mismatch"
-                                     : round_trip.status().ToString().c_str());
-        return 1;
-      }
-      std::ofstream out(binary_file, std::ios::binary);
-      if (!out || !out.write(blob.data(),
-                             static_cast<std::streamsize>(blob.size()))) {
-        std::fprintf(stderr, "cannot write %s\n", binary_file.c_str());
-        return 1;
-      }
-      std::printf("wrote %zu-byte XTR1 dump to %s\n", blob.size(),
-                  binary_file.c_str());
     }
     if (dump_flight) {
       std::fputs(obs::FlightRecorder::Default().ToJson().c_str(), stdout);

@@ -254,12 +254,9 @@ std::vector<Refinement> XBuild::GenerateCandidates(const TwigXSketch& sketch,
 
 TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
   const Clock::time_point build_start = Clock::now();
-  // Trace root for the build (or a child when the caller is already
-  // traced); iterations attach beneath it.
-  obs::TraceContext trace_ctx = obs::CurrentTraceContext();
-  if (!trace_ctx.sampled()) trace_ctx = obs::Tracer::Default().StartTrace();
-  obs::SpanScope build_span(trace_ctx, obs::Stage::kBuild,
-                            options_.budget_bytes);
+  // Traced only under the caller's sampled trace; iterations attach
+  // beneath the build span.
+  obs::SpanScope build_span(obs::Stage::kBuild, options_.budget_bytes);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   obs::Counter& m_builds =
       reg.GetCounter("xsketch_build_runs_total", "XBUILD invocations");

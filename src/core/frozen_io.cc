@@ -497,40 +497,38 @@ util::Result<std::shared_ptr<const FrozenSynopsis>> Xsk3Codec::Load(
     }
   }
 
-  if (options.verify_values) {
-    // Floating-point invariants the executor assumes (e.g. positive
-    // fractions keep MaterializePoints' weight totals > 0, finite bounds
-    // keep the conditioning arithmetic abort-free).
-    for (const double v : count_arr) {
-      if (!FiniteNonNegative(v)) return Bad("non-finite node count");
+  // Floating-point invariants the executor assumes (e.g. positive
+  // fractions keep MaterializePoints' weight totals > 0, finite bounds
+  // keep the conditioning arithmetic abort-free).
+  for (const double v : count_arr) {
+    if (!FiniteNonNegative(v)) return Bad("non-finite node count");
+  }
+  for (const FrozenSynopsis::Edge& e : edges) {
+    if (!FiniteNonNegative(e.avg) || !FiniteNonNegative(e.exist_frac) ||
+        !FiniteNonNegative(e.avg_given_exist)) {
+      return Bad("non-finite edge quantities");
     }
-    for (const FrozenSynopsis::Edge& e : edges) {
-      if (!FiniteNonNegative(e.avg) || !FiniteNonNegative(e.exist_frac) ||
-          !FiniteNonNegative(e.avg_given_exist)) {
-        return Bad("non-finite edge quantities");
-      }
+  }
+  for (const double v : bucket_frac) {
+    if (!FinitePositive(v)) return Bad("bucket fraction not positive");
+  }
+  for (const double v : static_prob) {
+    if (!FiniteNonNegative(v)) return Bad("static probability invalid");
+  }
+  for (size_t i = 0; i < mean.size(); ++i) {
+    if (!std::isfinite(mean[i]) || !std::isfinite(lo_minus[i]) ||
+        !std::isfinite(hi_plus[i]) || hi_plus[i] <= lo_minus[i] ||
+        !FinitePositive(inv_span[i])) {
+      return Bad("histogram column bounds invalid");
     }
-    for (const double v : bucket_frac) {
-      if (!FinitePositive(v)) return Bad("bucket fraction not positive");
-    }
-    for (const double v : static_prob) {
-      if (!FiniteNonNegative(v)) return Bad("static probability invalid");
-    }
-    for (size_t i = 0; i < mean.size(); ++i) {
-      if (!std::isfinite(mean[i]) || !std::isfinite(lo_minus[i]) ||
-          !std::isfinite(hi_plus[i]) || hi_plus[i] <= lo_minus[i] ||
-          !FinitePositive(inv_span[i])) {
-        return Bad("histogram column bounds invalid");
-      }
-    }
-    for (const double v : jfrac) {
-      if (!FinitePositive(v)) return Bad("joint fraction not positive");
-    }
-    for (size_t i = 0; i < jmean.size(); ++i) {
-      if (!std::isfinite(jmean[i]) || !std::isfinite(jlo_minus[i]) ||
-          !std::isfinite(jhi_plus[i]) || jhi_plus[i] <= jlo_minus[i]) {
-        return Bad("joint column bounds invalid");
-      }
+  }
+  for (const double v : jfrac) {
+    if (!FinitePositive(v)) return Bad("joint fraction not positive");
+  }
+  for (size_t i = 0; i < jmean.size(); ++i) {
+    if (!std::isfinite(jmean[i]) || !std::isfinite(jlo_minus[i]) ||
+        !std::isfinite(jhi_plus[i]) || jhi_plus[i] <= jlo_minus[i]) {
+      return Bad("joint column bounds invalid");
     }
   }
 

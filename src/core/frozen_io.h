@@ -8,9 +8,12 @@
 // offset/size is bounds-checked against the file length, every CSR array
 // is checked for monotonicity and consistent totals, and every index the
 // executor dereferences (edge targets, dimension indices, tag-index
-// entries) is range-checked. Truncation anywhere — including the trailing
-// section — is a hard error, because the header records the exact file
-// size and every section must land inside it.
+// entries) is range-checked. A linear sweep over the double sections then
+// checks the floating-point invariants the executor assumes (finite
+// fractions > 0, finite box bounds with hi > lo, finite means).
+// Truncation anywhere — including the trailing section — is a hard error,
+// because the header records the exact file size and every section must
+// land inside it.
 //
 // Loaded estimates are bit-identical to the heap path: the image stores
 // the frozen doubles verbatim, and execution reads them through the same
@@ -39,13 +42,6 @@ struct FrozenLoadOptions {
   // at load time, which defeats lazy mmap paging; turn it on for files
   // from untrusted storage.
   bool verify_checksums = false;
-  // Validate the floating-point payloads (finite fractions > 0, finite
-  // box bounds with hi > lo, finite means, ...) — the invariants the
-  // executor assumes. Structural validation (offsets, CSRs, indices)
-  // always runs; this adds a linear sweep over the double sections. On by
-  // default: safe loading is the contract, and the sweep is a small
-  // fraction of what the XSK2 path spends re-deriving histograms.
-  bool verify_values = true;
 };
 
 // Serializes the frozen arrays into an XSK3 image. Fails only on a

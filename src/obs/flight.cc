@@ -9,10 +9,6 @@ namespace xsketch::obs {
 
 namespace {
 
-// void* because Ring is private to FlightRecorder; only member functions
-// (which have access) cast it.
-thread_local void* g_thread_ring = nullptr;
-
 void AppendJsonString(std::string& out, const std::string& s) {
   out.push_back('"');
   for (char c : s) {
@@ -109,103 +105,44 @@ FlightRecorder& FlightRecorder::Default() {
   return *recorder;
 }
 
-FlightRecorder::FlightRecorder() {
-  MetricsRegistry& reg = MetricsRegistry::Default();
-  metric_records_ = &reg.GetCounter("xsketch_flight_records_total",
-                                    "queries recorded by the flight "
-                                    "recorder");
-  metric_slow_ = &reg.GetCounter(
-      "xsketch_flight_slow_total",
-      "flight records that crossed the slow-query threshold");
-  metric_errors_ = &reg.GetCounter("xsketch_flight_errors_total",
-                                   "failed queries seen by the flight "
-                                   "recorder");
-  metric_dropped_ = &reg.GetCounter(
-      "xsketch_flight_dropped_total",
-      "flight records overwritten in full per-thread rings");
-}
-
-void FlightRecorder::Configure(const Options& options) {
-  slow_us_.store(options.slow_us, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  capacity_ = std::max<size_t>(1, options.capacity);
-  for (auto& ring : rings_) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    ring->slots.assign(capacity_, FlightRecord{});
-    ring->next = 0;
-  }
-}
-
-FlightRecorder::Options FlightRecorder::options() const {
-  Options o;
-  o.slow_us = slow_us_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  o.capacity = capacity_;
-  return o;
-}
-
-FlightRecorder::Ring& FlightRecorder::ThisThreadRing() {
-  if (g_thread_ring != nullptr) return *static_cast<Ring*>(g_thread_ring);
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  auto ring = std::make_shared<Ring>(capacity_);
-  rings_.push_back(ring);
-  g_thread_ring = ring.get();
-  return *ring;
-}
+FlightRecorder::FlightRecorder()
+    : metric_records_(MetricsRegistry::Default().GetCounter(
+          "xsketch_flight_records_total",
+          "queries recorded by the flight recorder")),
+      metric_slow_(MetricsRegistry::Default().GetCounter(
+          "xsketch_flight_slow_total",
+          "flight records that crossed the slow-query threshold")),
+      metric_errors_(MetricsRegistry::Default().GetCounter(
+          "xsketch_flight_errors_total",
+          "failed queries seen by the flight recorder")),
+      metric_dropped_(MetricsRegistry::Default().GetCounter(
+          "xsketch_flight_dropped_total",
+          "flight records overwritten in full per-thread rings")),
+      rings_(metric_records_, metric_dropped_) {}
 
 void FlightRecorder::Record(FlightRecord record) {
   record.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const bool is_slow =
-      record.total_us >= slow_us_.load(std::memory_order_relaxed);
-  record.slow = is_slow;
-  if (is_slow) {
-    slow_.fetch_add(1, std::memory_order_relaxed);
-    metric_slow_->Increment();
-  }
-  if (!record.ok) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    metric_errors_->Increment();
-  }
+  record.slow = record.total_us >= kSlowUs;
+  if (record.slow) metric_slow_.Increment();
+  if (!record.ok) metric_errors_.Increment();
   // Promotion: slow and failed queries keep their full span tree — copied
   // now, before the tracer ring wraps past it.
-  if ((is_slow || !record.ok) && record.trace_id != 0 &&
+  if ((record.slow || !record.ok) && record.trace_id != 0 &&
       record.spans.empty()) {
     record.spans = Tracer::Default().SpansForTrace(record.trace_id);
   }
-  Ring& ring = ThisThreadRing();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  const size_t cap = ring.slots.size();
-  FlightRecord& slot = ring.slots[ring.next % cap];
-  if (ring.next >= cap && slot.seq != 0) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    metric_dropped_->Increment();
-  }
-  slot = std::move(record);
-  ++ring.next;
-  recorded_.fetch_add(1, std::memory_order_relaxed);
-  metric_records_->Increment();
+  rings_.Append(std::move(record));
 }
 
 std::vector<FlightRecord> FlightRecorder::Dump() const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  size_t capacity;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    rings = rings_;
-    capacity = capacity_;
-  }
   std::vector<FlightRecord> out;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    for (const FlightRecord& r : ring->slots) {
-      if (r.seq != 0) out.push_back(r);
-    }
-  }
+  rings_.ForEach(
+      [&out](uint32_t, const FlightRecord& r) { out.push_back(r); });
   std::sort(out.begin(), out.end(),
             [](const FlightRecord& a, const FlightRecord& b) {
               return a.seq > b.seq;
             });
-  if (out.size() > capacity) out.resize(capacity);
+  if (out.size() > kCapacity) out.resize(kCapacity);
   return out;
 }
 
@@ -233,23 +170,16 @@ std::string FlightRecorder::ToJson() const {
 }
 
 FlightRecorder::Counters FlightRecorder::counters() const {
-  return Counters{recorded_.load(std::memory_order_relaxed),
-                  slow_.load(std::memory_order_relaxed),
-                  errors_.load(std::memory_order_relaxed),
-                  dropped_.load(std::memory_order_relaxed)};
+  return Counters{metric_records_.value(), metric_slow_.value(),
+                  metric_errors_.value(), metric_dropped_.value()};
 }
 
 void FlightRecorder::Reset() {
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  for (auto& ring : rings_) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    ring->slots.assign(capacity_, FlightRecord{});
-    ring->next = 0;
-  }
-  recorded_.store(0, std::memory_order_relaxed);
-  slow_.store(0, std::memory_order_relaxed);
-  errors_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
+  rings_.Clear();
+  metric_records_.Reset();
+  metric_slow_.Reset();
+  metric_errors_.Reset();
+  metric_dropped_.Reset();
   seq_.store(0, std::memory_order_relaxed);
 }
 

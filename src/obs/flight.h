@@ -7,13 +7,15 @@
 // twig's canonical plan-cache key, per-stage microseconds (parse /
 // prepare / compile / execute / total), the estimate, the sketch
 // generation it ran against, and the error status. Records land in
-// per-thread bounded rings (same discipline as obs/trace.h: the owning
-// thread appends under an uncontended lock, old records are overwritten
-// and counted as dropped), stamped with a global sequence number so
-// Dump() can interleave threads into true completion order.
+// per-thread bounded rings (obs/thread_rings.h, shared with the tracer:
+// the owning thread appends under an uncontended lock, old records are
+// overwritten and counted as dropped), stamped with a global sequence
+// number so Dump() can interleave threads into true completion order.
+// The xsketch_flight_* registry counters are the only record counts;
+// counters() reads them.
 //
-// Slow-query promotion: records whose total latency crosses the
-// configured threshold — and every failed record — are marked and, when
+// Slow-query promotion: records whose total latency reaches kSlowUs —
+// and every failed record — are marked and, when
 // the query was also trace-sampled, carry the full span tree copied out
 // of the tracer at record time, so the post-mortem includes the per-stage
 // breakdown even after the tracer ring has wrapped.
@@ -26,12 +28,13 @@
 #define XSKETCH_OBS_FLIGHT_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/thread_rings.h"
 #include "obs/trace.h"
 
 namespace xsketch::obs {
@@ -71,32 +74,25 @@ struct FlightRecord {
 
 class FlightRecorder {
  public:
-  struct Options {
-    // Records retained (the "last N" of the post-mortem surface). Also
-    // the per-thread ring size, so bursts on one thread cannot evict
-    // another thread's records.
-    size_t capacity = 256;
-    // Queries at or above this total latency promote their span tree.
-    double slow_us = 1000.0;
-  };
+  // Records retained per recording thread (so bursts on one thread cannot
+  // evict another thread's records), and at most this many in a Dump():
+  // the "last N" of the post-mortem surface.
+  static constexpr size_t kCapacity = 256;
+  // Queries at or above this total latency promote their span tree.
+  static constexpr double kSlowUs = 1000.0;
 
   static FlightRecorder& Default();
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Applies `options` and clears every ring.
-  void Configure(const Options& options);
-  Options options() const;
-
   // Appends one completed query. Stamps seq; marks slow/error records and
   // promotes their span tree from Tracer::Default() when trace-sampled.
   void Record(FlightRecord record);
 
-  // The retained records, newest first, at most `capacity` of them.
+  // The retained records, newest first, at most kCapacity of them.
   std::vector<FlightRecord> Dump() const;
-  // Newest retained record whose twig_key matches, or nullopt-like empty
-  // result: ok() of the returned pair is signalled by found.
+  // Newest retained record whose twig_key matches; false when none does.
   bool FindByKey(const std::string& twig_key, FlightRecord* out) const;
   // {"records":[...]} rendering of Dump() (newest first).
   std::string ToJson() const;
@@ -113,34 +109,16 @@ class FlightRecorder {
   void Reset();
 
  private:
-  struct Ring {
-    explicit Ring(size_t capacity) : slots(capacity) {}
-    mutable std::mutex mu;
-    std::vector<FlightRecord> slots;
-    uint64_t next = 0;
-  };
-
   FlightRecorder();
 
-  Ring& ThisThreadRing();
-
-  mutable std::mutex registry_mu_;
-  std::vector<std::shared_ptr<Ring>> rings_;
-  size_t capacity_ = 256;
-
+  // Completion-order stamp for FlightRecord::seq (an id, not a count).
   std::atomic<uint64_t> seq_{0};
-  std::atomic<uint64_t> recorded_{0};
-  std::atomic<uint64_t> slow_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> dropped_{0};
-  // Stored as micros in an atomic double via relaxed loads (Configure
-  // writes, Record reads).
-  std::atomic<double> slow_us_{1000.0};
-
-  Counter* metric_records_ = nullptr;
-  Counter* metric_slow_ = nullptr;
-  Counter* metric_errors_ = nullptr;
-  Counter* metric_dropped_ = nullptr;
+  // Registry counters (obs/metrics.h); records/dropped are the rings'.
+  Counter& metric_records_;
+  Counter& metric_slow_;
+  Counter& metric_errors_;
+  Counter& metric_dropped_;
+  ThreadRings<FlightRecord, kCapacity> rings_;
 };
 
 }  // namespace xsketch::obs

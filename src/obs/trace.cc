@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-
-#include "obs/metrics.h"
-#include "util/check.h"
 
 namespace xsketch::obs {
 
@@ -15,40 +11,7 @@ namespace internal {
 constinit thread_local ThreadContext g_thread_ctx;
 }  // namespace internal
 
-namespace {
-
 using internal::g_thread_ctx;
-
-// Per-thread ring handle, cached so the append path skips the registry
-// mutex after the first span. The registry co-owns the ring, so spans
-// recorded by a thread survive its exit. void* because Ring is private to
-// Tracer; only member functions (which have access) cast it.
-thread_local void* g_thread_ring = nullptr;
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const unsigned char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetU64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-constexpr size_t kBinarySpanBytes = 6 * 8 + 4 + 1;  // 57
-constexpr char kBinaryMagic[4] = {'X', 'T', 'R', '1'};
-
-}  // namespace
 
 const char* StageName(Stage stage) {
   switch (stage) {
@@ -57,7 +20,6 @@ const char* StageName(Stage stage) {
     case Stage::kCompile: return "compile";
     case Stage::kPlanCache: return "plan_cache";
     case Stage::kExecute: return "execute";
-    case Stage::kInterpret: return "interpret";
     case Stage::kAudit: return "audit";
     case Stage::kBatch: return "batch";
     case Stage::kBatchChunk: return "batch_chunk";
@@ -75,14 +37,15 @@ Tracer& Tracer::Default() {
   return *tracer;
 }
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {
-  MetricsRegistry& reg = MetricsRegistry::Default();
-  metric_spans_ = &reg.GetCounter("xsketch_trace_spans_total",
-                                  "spans recorded by the structural tracer");
-  metric_dropped_ =
-      &reg.GetCounter("xsketch_trace_spans_dropped_total",
-                      "spans overwritten in full per-thread rings");
-}
+Tracer::Tracer()
+    : epoch_(std::chrono::steady_clock::now()),
+      metric_spans_(MetricsRegistry::Default().GetCounter(
+          "xsketch_trace_spans_total",
+          "spans recorded by the structural tracer")),
+      metric_dropped_(MetricsRegistry::Default().GetCounter(
+          "xsketch_trace_spans_dropped_total",
+          "spans overwritten in full per-thread rings")),
+      rings_(metric_spans_, metric_dropped_) {}
 
 uint64_t Tracer::NowNs() const {
   return static_cast<uint64_t>(
@@ -91,81 +54,16 @@ uint64_t Tracer::NowNs() const {
           .count());
 }
 
-void Tracer::Configure(const Options& options) {
-  sample_every_.store(options.sample_every, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  ring_capacity_ = std::max<size_t>(1, options.ring_capacity);
-  for (auto& ring : rings_) {
-    std::lock_guard<std::mutex> ring_lock(ring->mu);
-    ring->slots.assign(ring_capacity_, Span{});
-    ring->next = 0;
-  }
-  dropped_.store(0, std::memory_order_relaxed);
-  recorded_.store(0, std::memory_order_relaxed);
-}
-
-Tracer::Options Tracer::options() const {
-  Options o;
-  o.sample_every = sample_every_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  o.ring_capacity = ring_capacity_;
-  return o;
-}
-
-TraceContext Tracer::StartTrace() {
-  const uint64_t every = sample_every_.load(std::memory_order_relaxed);
-  if (every == 0) return {};
-  if (trace_counter_.fetch_add(1, std::memory_order_relaxed) % every != 0) {
-    return {};
-  }
-  return ForceTrace();
-}
-
 TraceContext Tracer::ForceTrace() {
   return {next_trace_.fetch_add(1, std::memory_order_relaxed) + 1, 0};
 }
 
-Tracer::Ring& Tracer::ThisThreadRing() {
-  if (g_thread_ring != nullptr) return *static_cast<Ring*>(g_thread_ring);
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  auto ring = std::make_shared<Ring>(ring_capacity_, ++next_tid_);
-  rings_.push_back(ring);
-  // The registry keeps the ring alive past thread exit; caching the raw
-  // pointer is safe because rings_ is append-only (Reset clears contents,
-  // never the registration).
-  g_thread_ring = ring.get();
-  return *ring;
-}
-
-void Tracer::Append(const Span& span) {
-  Ring& ring = ThisThreadRing();
-  std::lock_guard<std::mutex> lock(ring.mu);
-  const size_t cap = ring.slots.size();
-  Span& slot = ring.slots[ring.next % cap];
-  if (ring.next >= cap && slot.span_id != 0) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    metric_dropped_->Increment();
-  }
-  slot = span;
-  slot.tid = ring.tid;
-  ++ring.next;
-  recorded_.fetch_add(1, std::memory_order_relaxed);
-  metric_spans_->Increment();
-}
-
 std::vector<Span> Tracer::Snapshot() const {
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    rings = rings_;
-  }
   std::vector<Span> out;
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    for (const Span& s : ring->slots) {
-      if (s.span_id != 0) out.push_back(s);
-    }
-  }
+  rings_.ForEach([&out](uint32_t tid, const Span& s) {
+    out.push_back(s);
+    out.back().tid = tid;
+  });
   std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
     return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
                                     : a.span_id < b.span_id;
@@ -175,32 +73,22 @@ std::vector<Span> Tracer::Snapshot() const {
 
 std::vector<Span> Tracer::Drain() {
   std::vector<Span> out = Snapshot();
-  std::vector<std::shared_ptr<Ring>> rings;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    rings = rings_;
-  }
-  for (const auto& ring : rings) {
-    std::lock_guard<std::mutex> lock(ring->mu);
-    std::fill(ring->slots.begin(), ring->slots.end(), Span{});
-    ring->next = 0;
-  }
+  rings_.Clear();
   return out;
 }
 
 std::vector<Span> Tracer::SpansForTrace(uint64_t trace_id) const {
-  std::vector<Span> all = Snapshot();
-  std::vector<Span> out;
-  for (const Span& s : all) {
-    if (s.trace_id == trace_id) out.push_back(s);
-  }
+  std::vector<Span> out = Snapshot();
+  std::erase_if(out, [trace_id](const Span& s) {
+    return s.trace_id != trace_id;
+  });
   return out;
 }
 
 void Tracer::Reset() {
-  (void)Drain();
-  recorded_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
+  rings_.Clear();
+  metric_spans_.Reset();
+  metric_dropped_.Reset();
 }
 
 std::string Tracer::ToChromeJson(const std::vector<Span>& spans) {
@@ -226,61 +114,6 @@ std::string Tracer::ToChromeJson(const std::vector<Span>& spans) {
     out += buf;
   }
   out += "]}";
-  return out;
-}
-
-std::string Tracer::ToBinary(const std::vector<Span>& spans) {
-  std::string out;
-  out.reserve(8 + spans.size() * kBinarySpanBytes);
-  out.append(kBinaryMagic, sizeof(kBinaryMagic));
-  PutU32(out, static_cast<uint32_t>(spans.size()));
-  for (const Span& s : spans) {
-    PutU64(out, s.trace_id);
-    PutU64(out, s.span_id);
-    PutU64(out, s.parent_id);
-    PutU64(out, s.start_ns);
-    PutU64(out, s.dur_ns);
-    PutU64(out, s.arg);
-    PutU32(out, s.tid);
-    out.push_back(static_cast<char>(s.stage));
-  }
-  return out;
-}
-
-util::Result<std::vector<Span>> Tracer::FromBinary(std::string_view bytes) {
-  if (bytes.size() < 8 ||
-      std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
-    return util::Status::InvalidArgument(
-        "trace dump: missing XTR1 magic header");
-  }
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(bytes.data());
-  const uint32_t count = GetU32(p + 4);
-  const size_t need = 8 + static_cast<size_t>(count) * kBinarySpanBytes;
-  if (bytes.size() != need) {
-    return util::Status::InvalidArgument(
-        "trace dump: size " + std::to_string(bytes.size()) +
-        " does not match span count " + std::to_string(count));
-  }
-  std::vector<Span> out;
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const unsigned char* rec = p + 8 + i * kBinarySpanBytes;
-    Span s;
-    s.trace_id = GetU64(rec);
-    s.span_id = GetU64(rec + 8);
-    s.parent_id = GetU64(rec + 16);
-    s.start_ns = GetU64(rec + 24);
-    s.dur_ns = GetU64(rec + 32);
-    s.arg = GetU64(rec + 40);
-    s.tid = GetU32(rec + 48);
-    if (rec[52] >= kStageCount) {
-      return util::Status::InvalidArgument(
-          "trace dump: unknown stage id " + std::to_string(rec[52]));
-    }
-    s.stage = static_cast<Stage>(rec[52]);
-    out.push_back(s);
-  }
   return out;
 }
 
@@ -327,7 +160,7 @@ void SpanScope::Close() {
     s.dur_ns = tracer.NowNs() - start_ns_;
     s.arg = arg_;
     s.stage = stage_;
-    tracer.Append(s);
+    tracer.rings_.Append(s);
   }
   g_thread_ctx = {prev_trace_, prev_span_};
 }

@@ -4,18 +4,19 @@
 // A trace is a tree of spans covering one request (a query, a batch, a
 // catalog load, an XBUILD run). Spans carry a monotonic start/duration, a
 // parent link, the recording thread, and one stage-specific integer
-// payload. Completed spans land in thread-local bounded ring buffers —
-// recording never blocks on another thread, never allocates on the hot
-// path beyond the ring slot, and overwrites the oldest span when full
-// (counted by a relaxed-atomic drop counter, mirrored to
-// xsketch_trace_spans_dropped_total).
+// payload. Completed spans land in per-thread bounded rings
+// (obs/thread_rings.h) — recording never blocks on another thread, never
+// allocates on the hot path beyond the ring slot, and overwrites the
+// oldest span when full. The registry counters xsketch_trace_spans_total
+// and xsketch_trace_spans_dropped_total are the only span counts;
+// recorded() and dropped() read them.
 //
 // Cost model: the entire tracer is gated on whether the current thread is
 // inside a sampled trace. An unsampled SpanScope is one thread-local read
 // and a branch — no clock read, no atomic, no lock — which is what keeps
-// the serving path within its <2% overhead budget when sampling is off
-// (gated by bench/perf_batch --delta). A sampled span costs two
-// steady_clock reads plus an uncontended ring append.
+// the serving path within its <2% overhead budget (gated by
+// bench/perf_batch --delta). A sampled span costs two steady_clock reads
+// plus an uncontended ring append.
 //
 // Context propagation is implicit within a thread: SpanScope pushes
 // itself as the thread-current span, so instrumented callees
@@ -24,45 +25,39 @@
 // is explicit: capture SpanScope::context() and hand it to the worker's
 // SpanScope constructor.
 //
-// Sampling: Tracer::StartTrace() applies the process-wide sample_every
-// knob (0 = never, the default; N = every Nth trace); ForceTrace() always
-// samples and is what per-Session sampling rates
-// (service::ServiceOptions::trace_sample_rate) are built on. An unsampled
-// TraceContext turns every SpanScope under it into the no-op path.
+// Sampling is caller-owned: a request is traced only under a root its
+// owner opens with Tracer::ForceTrace() (the trace CLI; later the wire
+// context of a daemon request). Library code — the estimation service,
+// catalog loads, XBUILD — never starts a trace; it attaches its spans to
+// the calling thread's trace when there is one and stays on the no-op
+// path otherwise.
 //
-// Exports: Chrome trace_event JSON (load into chrome://tracing or
-// Perfetto) and a compact fixed-width binary dump, both stability tier
-// "diagnostic" — field additions allowed, field meanings stable (see
-// DESIGN.md §11).
+// Export: Chrome trace_event JSON (load into chrome://tracing or
+// Perfetto), stability tier "diagnostic" — field additions allowed, field
+// meanings stable (see DESIGN.md §11).
 
 #ifndef XSKETCH_OBS_TRACE_H_
 #define XSKETCH_OBS_TRACE_H_
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "util/status.h"
+#include "obs/metrics.h"
+#include "obs/thread_rings.h"
 
 namespace xsketch::obs {
 
-class Counter;  // obs/metrics.h
-
-// Span taxonomy of the serving path (DESIGN.md §11). Values are part of
-// the binary dump format: append new stages, never renumber.
+// Span taxonomy of the serving path (DESIGN.md §11).
 enum class Stage : uint8_t {
   kQuery = 0,        // end-to-end root of one estimate request
   kParse,            // xpath/for-clause text -> TwigQuery
   kCompile,          // TwigCompiler::Compile (lowering)
   kPlanCache,        // service plan-cache lookup (arg: 1 hit / 0 miss)
   kExecute,          // compiled program execution
-  kInterpret,        // reference-interpreter estimate (no longer emitted
-                     // by the service; kept: stage values never renumber)
   kAudit,            // exact-evaluator accuracy audit of one query
   kBatch,            // EstimateBatch root (arg: query count)
   kBatchChunk,       // one thread-pool task of a batch (arg: chunk size)
@@ -72,7 +67,7 @@ enum class Stage : uint8_t {
   kCatalogMmap,      // mmap + validation inside a Put (arg: frozen bytes)
   kCatalogSwap,      // generation install under the catalog lock
 };
-inline constexpr int kStageCount = 14;
+inline constexpr int kStageCount = 13;
 const char* StageName(Stage stage);
 
 // One completed span. start_ns is monotonic, measured from the process
@@ -101,70 +96,38 @@ struct TraceContext {
 // Process-wide tracer. All methods are thread-safe.
 class Tracer {
  public:
-  struct Options {
-    // StartTrace() samples every Nth trace; 0 disables (ForceTrace and
-    // explicitly propagated contexts still record).
-    uint64_t sample_every = 0;
-    // Completed spans retained per recording thread; older spans are
-    // overwritten (and counted as dropped).
-    size_t ring_capacity = 8192;
-  };
+  // Completed spans retained per recording thread; older spans are
+  // overwritten (and counted as dropped).
+  static constexpr size_t kRingCapacity = 8192;
 
   static Tracer& Default();
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Applies `options` and clears every ring plus the drop counter (a
-  // config change invalidates cross-window comparisons anyway).
-  void Configure(const Options& options);
-  Options options() const;
-
-  // New trace root subject to process-wide sampling: an unsampled context
-  // when sample_every is 0 or this is not the Nth call.
-  TraceContext StartTrace();
-  // New trace root, always sampled — for callers owning their own
-  // sampling decision (per-Session rates, the trace CLI).
+  // New trace root, always sampled: the one way a trace starts. Open a
+  // SpanScope on the returned context to make it thread-current.
   TraceContext ForceTrace();
 
   // All completed spans across every thread ring, start-ordered. Safe
   // with concurrent recorders (each ring is copied under its lock).
   std::vector<Span> Snapshot() const;
-  // Snapshot + clear (drop counter kept).
+  // Snapshot + clear (counters kept).
   std::vector<Span> Drain();
   // Completed spans of one trace, start-ordered.
   std::vector<Span> SpansForTrace(uint64_t trace_id) const;
   // Clears every ring and the recorded/dropped counters.
   void Reset();
 
-  uint64_t recorded() const {
-    return recorded_.load(std::memory_order_relaxed);
-  }
-  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
+  uint64_t recorded() const { return metric_spans_.value(); }
+  uint64_t dropped() const { return metric_dropped_.value(); }
 
   // Chrome trace_event JSON ("traceEvents" array of complete "X" events,
   // timestamps in microseconds): chrome://tracing / Perfetto compatible.
   static std::string ToChromeJson(const std::vector<Span>& spans);
-  // Compact binary dump: "XTR1" magic, LE u32 span count, then one
-  // 57-byte LE record per span. Round-trips through FromBinary.
-  static std::string ToBinary(const std::vector<Span>& spans);
-  static util::Result<std::vector<Span>> FromBinary(std::string_view bytes);
 
  private:
   friend class SpanScope;
-  friend class SpanRingTestPeer;
-
-  // Fixed-capacity per-thread ring of completed spans. Only the owning
-  // thread appends; the registry mutex-copies for snapshots. The lock is
-  // per-ring and effectively uncontended on the append path.
-  struct Ring {
-    explicit Ring(size_t capacity, uint32_t tid)
-        : slots(capacity), tid(tid) {}
-    mutable std::mutex mu;
-    std::vector<Span> slots;
-    uint64_t next = 0;  // monotonically increasing append cursor
-    uint32_t tid = 0;
-  };
 
   Tracer();
 
@@ -172,26 +135,14 @@ class Tracer {
   uint64_t NextSpanId() {
     return next_span_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-  Ring& ThisThreadRing();
-  void Append(const Span& span);
 
   std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex registry_mu_;
-  std::vector<std::shared_ptr<Ring>> rings_;
-  size_t ring_capacity_ = 8192;
-  uint32_t next_tid_ = 0;
-
-  std::atomic<uint64_t> sample_every_{0};
-  std::atomic<uint64_t> trace_counter_{0};
   std::atomic<uint64_t> next_trace_{0};
   std::atomic<uint64_t> next_span_{0};
-  std::atomic<uint64_t> recorded_{0};
-  std::atomic<uint64_t> dropped_{0};
-
-  // Process-registry mirrors (obs/metrics.h).
-  Counter* metric_spans_ = nullptr;
-  Counter* metric_dropped_ = nullptr;
+  // Registry counters (obs/metrics.h), the rings' appended/dropped counts.
+  Counter& metric_spans_;
+  Counter& metric_dropped_;
+  ThreadRings<Span, kRingCapacity> rings_;
 };
 
 namespace internal {
@@ -220,9 +171,13 @@ class SpanScope {
   // not inside a sampled trace.
   explicit SpanScope(Stage stage, uint64_t arg = 0)
       : trace_id_(0), span_id_(0), restore_(false) {
-    const internal::ThreadContext& ctx = internal::g_thread_ctx;
-    if (ctx.trace_id == 0) return;
-    Open(ctx.trace_id, ctx.span_id, stage, arg);
+    // Members of the variable itself, never a reference bound to it: GCC
+    // null-checks such a reference with the flags of an `add` that the
+    // linker's TLS relaxation turns into a flag-less `lea`, which makes
+    // -fsanitize=undefined report a null pointer that is not there.
+    if (internal::g_thread_ctx.trace_id == 0) return;
+    Open(internal::g_thread_ctx.trace_id, internal::g_thread_ctx.span_id,
+         stage, arg);
   }
   // Child of an explicit context (cross-thread handoff or a trace root);
   // inert when !ctx.sampled(). While alive it is the thread-current span,

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/flight.h"
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/percentiles.h"
 
@@ -22,14 +23,19 @@ double MicrosBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-// SplitMix64: the audit sampling mask must be deterministic in
-// (seed, query index) so a batch audited twice samples the same queries.
+// SplitMix64: the audit sampling mask must be deterministic in the query
+// index so a batch audited twice samples the same queries.
 uint64_t Mix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
 }
+
+// The sanity bound s in the paper's relative-error metric
+// |r - c| / max(s, c) (§6.1): guards division by zero for empty-result
+// queries.
+constexpr double kAuditSanityBound = 1.0;
 
 }  // namespace
 
@@ -77,21 +83,6 @@ util::Status ServiceOptions::Validate() const {
     return util::Status::InvalidArgument(
         "audit_fraction must be in [0, 1] (got " +
         std::to_string(audit_fraction) + ")");
-  }
-  if (!(audit_sanity_bound > 0.0)) {
-    return util::Status::InvalidArgument(
-        "audit_sanity_bound must be > 0 (got " +
-        std::to_string(audit_sanity_bound) + ")");
-  }
-  if (plan_cache_capacity < 0) {
-    return util::Status::InvalidArgument(
-        "plan_cache_capacity must be >= 0 (got " +
-        std::to_string(plan_cache_capacity) + "; 0 disables caching)");
-  }
-  if (!(trace_sample_rate >= 0.0 && trace_sample_rate <= 1.0)) {
-    return util::Status::InvalidArgument(
-        "trace_sample_rate must be in [0, 1] (got " +
-        std::to_string(trace_sample_rate) + ")");
   }
   return estimator.Validate();
 }
@@ -174,27 +165,6 @@ EstimationService::EstimationService(
                     "batch queries currently executing across workers");
 }
 
-bool EstimationService::TraceSelected(uint64_t ordinal) const {
-  const double rate = options_.trace_sample_rate;
-  if (rate <= 0.0) return false;
-  if (rate >= 1.0) return true;
-  const uint64_t h = Mix64(options_.trace_seed ^ ordinal);
-  return static_cast<double>(h >> 11) * 0x1.0p-53 < rate;
-}
-
-obs::TraceContext EstimationService::SampleTrace() const {
-  // A caller already inside a sampled trace (the trace CLI, an outer
-  // request span) keeps tracing through the service regardless of the
-  // service's own rate; the request attaches under the caller's span.
-  const obs::TraceContext current = obs::CurrentTraceContext();
-  if (current.sampled()) return current;
-  if (options_.trace_sample_rate <= 0.0) return {};
-  const uint64_t ordinal =
-      trace_ordinal_.fetch_add(1, std::memory_order_relaxed);
-  if (!TraceSelected(ordinal)) return {};
-  return obs::Tracer::Default().ForceTrace();
-}
-
 util::Result<std::shared_ptr<const core::CompiledTwig>>
 EstimationService::Prepare(const query::TwigQuery& twig) const {
   return PrepareAttributed(twig, nullptr);
@@ -209,6 +179,7 @@ EstimationService::PrepareAttributed(const query::TwigQuery& twig,
   std::string key = CanonicalTwigKey(twig);
   obs::SpanScope cache_span(obs::Stage::kPlanCache);
   metrics_.plan_lookups->Increment();
+  if (attr != nullptr) attr->plan_cache_lookup = true;
   {
     std::lock_guard<std::mutex> lock(plan_mu_);
     ++plan_lookups_;
@@ -247,7 +218,6 @@ EstimationService::PrepareAttributed(const query::TwigQuery& twig,
     attr->key = key;
     attr->prepare_us = MicrosBetween(prep_start, Clock::now());
   }
-  if (options_.plan_cache_capacity == 0) return plan;
   std::lock_guard<std::mutex> lock(plan_mu_);
   auto it = plan_index_.find(key);
   if (it != plan_index_.end()) {
@@ -256,8 +226,7 @@ EstimationService::PrepareAttributed(const query::TwigQuery& twig,
   }
   plan_lru_.push_front(PlanEntry{std::move(key), plan});
   plan_index_.emplace(plan_lru_.front().key, plan_lru_.begin());
-  while (plan_lru_.size() >
-         static_cast<size_t>(options_.plan_cache_capacity)) {
+  while (plan_lru_.size() > kPlanCacheCapacity) {
     plan_index_.erase(plan_lru_.back().key);
     plan_lru_.pop_back();
     ++plan_evictions_;
@@ -311,7 +280,7 @@ void EstimationService::RecordFlight(
 bool EstimationService::AuditSelected(size_t index) const {
   if (exact_ == nullptr) return false;
   // Map the hash to [0, 1) and compare against the sampled fraction.
-  const uint64_t h = Mix64(options_.audit_seed ^ static_cast<uint64_t>(index));
+  const uint64_t h = Mix64(static_cast<uint64_t>(index));
   const double u =
       static_cast<double>(h >> 11) * 0x1.0p-53;  // 53 uniform bits
   return u < options_.audit_fraction;
@@ -321,16 +290,16 @@ EstimationService::~EstimationService() = default;
 
 util::Result<core::EstimateStats> EstimationService::Estimate(
     const query::TwigQuery& twig) const {
-  const obs::TraceContext ctx = SampleTrace();
+  const uint64_t trace_id = obs::CurrentTraceContext().trace_id;
   const Clock::time_point start = Clock::now();
   QueryAttribution attr;
   util::Result<core::EstimateStats> result = [&] {
     // The kQuery span must close before the flight record is taken so
     // slow/error promotion sees the complete tree.
-    obs::SpanScope qspan(ctx, obs::Stage::kQuery);
+    obs::SpanScope qspan(obs::Stage::kQuery);
     return EstimateCompiled(twig, &attr);
   }();
-  RecordFlight(twig, ctx.trace_id, std::move(attr),
+  RecordFlight(twig, trace_id, std::move(attr),
                MicrosBetween(start, Clock::now()), result);
   return result;
 }
@@ -340,13 +309,11 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
                                  BatchStats* stats,
                                  std::optional<Deadline> deadline) const {
   const Clock::time_point batch_start = Clock::now();
-  const auto plans_before = plan_cache_counters();
 
   const size_t n = queries.size();
-  // One trace decision per batch: a sampled batch records its whole span
-  // tree (envelope, chunks, every query) under one trace id.
-  const obs::TraceContext batch_ctx = SampleTrace();
-  obs::SpanScope batch_span(batch_ctx, obs::Stage::kBatch, n);
+  // A batch under the caller's sampled trace records its whole span tree
+  // (envelope, chunks, every query) beneath the caller's span.
+  obs::SpanScope batch_span(obs::Stage::kBatch, n);
   // Result<T> has no default constructor; stage into optionals and move
   // into the final vector once every slot is filled.
   std::vector<std::optional<util::Result<core::EstimateStats>>> staged(n);
@@ -354,6 +321,9 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
   // Audit relative errors, indexed like the queries; negative = not
   // audited (skipped by the sampling mask, or the query failed).
   std::vector<double> audit_errors(n, -1.0);
+  // Per-query plan-cache outcome: 0 no lookup (invalid or abandoned),
+  // 1 miss, 2 hit.
+  std::vector<uint8_t> plan_outcome(n, 0);
 
   // ~4 chunks per worker: bounds scheduling overhead while still
   // smoothing skewed per-query latencies.
@@ -361,7 +331,8 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
       1, n / (static_cast<size_t>(num_threads_) * 4));
   const obs::TraceContext chunk_ctx = batch_span.context();
   auto run_chunk = [this, queries, chunk_ctx, deadline, &staged,
-                    &latencies_us, &audit_errors](size_t begin, size_t end) {
+                    &latencies_us, &audit_errors,
+                    &plan_outcome](size_t begin, size_t end) {
     // Explicit handoff: the chunk span attaches under the batch envelope
     // (and an unsampled batch suppresses every nested span on a worker
     // for the chunk's duration).
@@ -388,6 +359,7 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
         staged[i].emplace(EstimateCompiled(queries[i], &attr));
       }
       latencies_us[i] = MicrosBetween(q_start, Clock::now());
+      plan_outcome[i] = attr.plan_cache_lookup ? 1 + attr.plan_cache_hit : 0;
       // Exemplar: the batch's trace id rides along so the latency
       // histogram can point at the worst window's trace.
       metrics_.latency_us->Observe(latencies_us[i], chunk_ctx.trace_id);
@@ -400,7 +372,7 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
         const double r = staged[i]->value().estimate;
         const double c = static_cast<double>(exact_->Selectivity(queries[i]));
         audit_errors[i] =
-            std::abs(r - c) / std::max(options_.audit_sanity_bound, c);
+            std::abs(r - c) / std::max(kAuditSanityBound, c);
         metrics_.audit_samples->Increment();
         metrics_.audit_rel_error->Observe(audit_errors[i]);
       }
@@ -473,9 +445,10 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
       agg.p50_latency_us = util::Percentile(ran, 0.50);
       agg.p95_latency_us = util::Percentile(ran, 0.95);
     }
-    const auto plans_after = plan_cache_counters();
-    agg.plan_cache_lookups = plans_after.lookups - plans_before.lookups;
-    agg.plan_cache_hits = plans_after.hits - plans_before.hits;
+    for (const uint8_t outcome : plan_outcome) {
+      agg.plan_cache_lookups += outcome != 0;
+      agg.plan_cache_hits += outcome == 2;
+    }
     double err_sum = 0.0;
     for (double e : audit_errors) {
       if (e < 0.0) continue;

@@ -16,21 +16,27 @@
 // of the batch.
 //
 // Prepare() returns a shareable program through an internal LRU plan cache
-// keyed by the twig's canonical byte encoding, so repeated query shapes
-// skip lowering entirely; EstimateBatch and Estimate route through the
-// same cache.
+// of kPlanCacheCapacity programs keyed by the twig's canonical byte
+// encoding, so repeated query shapes skip lowering entirely;
+// EstimateBatch and Estimate route through the same cache.
 //
 // Audit mode (opt-in via ServiceOptions::audit_fraction): a deterministic
 // sample of each batch is additionally evaluated exactly with
 // query::ExactEvaluator, and the paper's relative-error metric
-// |r - c| / max(s, c) (§6.1) is aggregated into BatchStats and fed into
-// the process-wide xsketch_service_audit_rel_error histogram — live
-// accuracy telemetry against ground truth.
+// |r - c| / max(s, c) (§6.1, sanity bound s = 1) is aggregated into
+// BatchStats and fed into the process-wide xsketch_service_audit_rel_error
+// histogram — live accuracy telemetry against ground truth.
+//
+// Tracing (obs/trace.h) is the caller's decision: a batch or estimate
+// records its span tree only when the calling thread is inside a sampled
+// trace (a Tracer::ForceTrace() root), and attaches under the caller's
+// span. Tracing never touches the estimate computation: results stay
+// bit-identical traced or not (pinned by the differential harness's
+// bit-identity-traced invariant).
 
 #ifndef XSKETCH_SERVICE_ESTIMATION_SERVICE_H_
 #define XSKETCH_SERVICE_ESTIMATION_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <list>
@@ -46,7 +52,6 @@
 #include "core/frozen.h"
 #include "core/twig_xsketch.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "query/evaluator.h"
 #include "query/twig.h"
 #include "util/status.h"
@@ -69,34 +74,14 @@ struct ServiceOptions {
   // Forwarded to the shared TwigCompiler.
   core::EstimatorOptions estimator;
 
-  // Compiled programs kept in the LRU plan cache; 0 disables caching
-  // (every batch query recompiles); otherwise must be >= 1.
-  int plan_cache_capacity = 256;
-
   // Accuracy audit: fraction of each batch's queries (in [0, 1]) whose
   // true selectivity is computed exactly and compared against the
   // estimate. 0 disables auditing (and skips building the evaluator).
   // Exact evaluation walks the document, so keep the fraction small on
-  // large documents.
+  // large documents. The sample is a pure function of the query's batch
+  // index: the same batch audited twice samples the same queries.
   double audit_fraction = 0.0;
-  // Seed for the deterministic per-query sampling mask: the same batch
-  // audited twice samples the same queries.
-  uint64_t audit_seed = 0;
-  // The sanity bound s in the paper's relative-error metric
-  // |r - c| / max(s, c); must be > 0 (guards division by zero for
-  // empty-result queries).
-  double audit_sanity_bound = 1.0;
 
-  // Structural tracing (obs/trace.h): fraction of requests — batches and
-  // single-query estimates — whose full span tree is recorded, in [0, 1].
-  // 0 (the default) keeps the serving path on the tracer's no-op fast
-  // path. Sampling is deterministic in (trace_seed, request ordinal), the
-  // same discipline as the audit mask, so a replayed workload traces the
-  // same requests. Tracing never touches the estimate computation:
-  // results stay bit-identical at any rate (pinned by the differential
-  // harness's bit-identity-traced invariant).
-  double trace_sample_rate = 0.0;
-  uint64_t trace_seed = 0;
   // Sketch generation stamped into flight records — SketchCatalog sets
   // it for the service each generation owns; 0 otherwise.
   uint64_t sketch_generation = 0;
@@ -118,9 +103,8 @@ struct BatchStats {
   double wall_ms = 0.0;           // end-to-end batch wall time
   double p50_latency_us = 0.0;    // per-query estimation latency
   double p95_latency_us = 0.0;
-  // Plan-cache activity attributable to this batch: deltas of the cache's
-  // lifetime counters snapshotted before and after the batch, not
-  // lifetime totals. Approximate if batches overlap.
+  // Plan-cache activity of this batch's own queries (exact even when
+  // batches overlap): one lookup per query that passed validation.
   uint64_t plan_cache_lookups = 0;
   uint64_t plan_cache_hits = 0;
   // Accuracy audit (populated only when ServiceOptions::audit_fraction
@@ -140,6 +124,9 @@ struct BatchStats {
 
 class EstimationService {
  public:
+  // Compiled programs kept in the LRU plan cache.
+  static constexpr size_t kPlanCacheCapacity = 256;
+
   // Takes ownership of `sketch`; validates `options`. The returned
   // service is immutable and safe to share across threads.
   static util::Result<std::unique_ptr<EstimationService>> Create(
@@ -180,7 +167,7 @@ class EstimationService {
       BatchStats* stats = nullptr,
       std::optional<Deadline> deadline = std::nullopt) const;
 
-  // Single-query convenience: Prepare + ExecutePrepared, traced and
+  // Single-query convenience: Prepare + ExecuteWithStats, traced and
   // flight-recorded like one batch query.
   util::Result<core::EstimateStats> Estimate(
       const query::TwigQuery& twig) const;
@@ -193,13 +180,6 @@ class EstimationService {
   // service's frozen synopsis). Thread-safe.
   util::Result<std::shared_ptr<const core::CompiledTwig>> Prepare(
       const query::TwigQuery& twig) const;
-
-  // Runs a prepared program with diagnostics — the prepared-path
-  // equivalent of Estimate(), bit-identical to it (estimate and all
-  // counters). For the plain fast path call plan.Execute() directly.
-  core::EstimateStats ExecutePrepared(const core::CompiledTwig& plan) const {
-    return plan.ExecuteWithStats();
-  }
 
   struct PlanCacheCounters {
     uint64_t lookups = 0;
@@ -229,17 +209,8 @@ class EstimationService {
                     const ServiceOptions& options);
 
   // True iff query `index` of a batch falls in the audit sample
-  // (deterministic in (audit_seed, index)).
+  // (deterministic in index).
   bool AuditSelected(size_t index) const;
-
-  // True iff request `ordinal` falls in the trace sample (deterministic
-  // in (trace_seed, ordinal); always false at rate 0, cost: one compare).
-  bool TraceSelected(uint64_t ordinal) const;
-  // Draws the next request ordinal and returns its sampled trace context
-  // ({0,0} when not selected). Rate 0 skips the ordinal counter entirely.
-  // A caller already inside a sampled trace is adopted unconditionally:
-  // the request's spans attach under the caller's span.
-  obs::TraceContext SampleTrace() const;
 
   // Per-query stage attribution for the flight recorder: the canonical
   // key (encoded once, reused as the record identity) plus where the time
@@ -249,6 +220,7 @@ class EstimationService {
     double prepare_us = 0.0;  // plan-cache lookup + compile
     double compile_us = 0.0;  // lowering only (cache misses)
     double execute_us = 0.0;
+    bool plan_cache_lookup = false;  // passed validation, reached the cache
     bool plan_cache_hit = false;
   };
 
@@ -257,7 +229,7 @@ class EstimationService {
   util::Result<std::shared_ptr<const core::CompiledTwig>> PrepareAttributed(
       const query::TwigQuery& twig, QueryAttribution* attr) const;
 
-  // One query: Prepare + ExecutePrepared, attributed, with
+  // One query: Prepare + ExecuteWithStats, attributed, with
   // kPlanCache/kExecute spans when traced.
   util::Result<core::EstimateStats> EstimateCompiled(
       const query::TwigQuery& twig, QueryAttribution* attr) const;
@@ -320,9 +292,6 @@ class EstimationService {
   // Batch workers; null when num_threads_ == 1 (batches run inline).
   std::unique_ptr<util::ThreadPool> pool_;
   Metrics metrics_;
-  // Request ordinal for the deterministic trace sampling mask; only
-  // touched when trace_sample_rate > 0.
-  mutable std::atomic<uint64_t> trace_ordinal_{0};
 };
 
 }  // namespace xsketch::service

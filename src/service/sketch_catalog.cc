@@ -62,12 +62,9 @@ util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
   if (doc_id.empty()) {
     return util::Status::InvalidArgument("doc_id must not be empty");
   }
-  // Attach under the caller's trace when there is one (the trace CLI, a
-  // traced service turn); otherwise this load is its own trace root,
-  // subject to the process-wide sampling knob.
-  obs::TraceContext ctx = obs::CurrentTraceContext();
-  if (!ctx.sampled()) ctx = obs::Tracer::Default().StartTrace();
-  obs::SpanScope load_span(ctx, obs::Stage::kCatalogLoad);
+  // Traced only under the caller's sampled trace (the trace CLI, a traced
+  // request); the load attaches beneath the caller's span.
+  obs::SpanScope load_span(obs::Stage::kCatalogLoad);
   // Load outside the lock: a slow mmap + validation of one document must
   // not stall lookups of the others. On failure the catalog is untouched.
   util::Result<std::shared_ptr<const core::FrozenSynopsis>> frozen =

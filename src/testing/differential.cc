@@ -13,6 +13,7 @@
 #include "exec/twig_stack.h"
 #include "obs/explain.h"
 #include "obs/flight.h"
+#include "obs/trace.h"
 #include "plan/cardinality.h"
 #include "plan/planner.h"
 #include "query/evaluator.h"
@@ -188,17 +189,20 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
   XS_CHECK(service.ok());
   const auto batch = service.value()->EstimateBatch(queries);
 
-  // Traced path: the same batch through a service with span tracing
-  // sampled at 1.0 and the flight recorder on. Observability must never
-  // perturb a single bit of the arithmetic. This is also the
-  // flight-recorder smoke: every generated query lands a record, and
-  // Checker attaches the matching record to any failure's repro.
-  service::ServiceOptions topts = sopts;
-  topts.trace_sample_rate = 1.0;
+  // Traced path: the same batch through a fresh service under a forced
+  // trace root, so every query records its full span tree, with the
+  // flight recorder on. Observability must never perturb a single bit of
+  // the arithmetic. This is also the flight-recorder smoke: every
+  // generated query lands a record, and Checker attaches the matching
+  // record to any failure's repro.
   auto traced =
-      service::EstimationService::Create(core::TwigXSketch(sketch), topts);
+      service::EstimationService::Create(core::TwigXSketch(sketch), sopts);
   XS_CHECK(traced.ok());
-  const auto traced_batch = traced.value()->EstimateBatch(queries);
+  const auto traced_batch = [&] {
+    obs::SpanScope root(obs::Tracer::Default().ForceTrace(),
+                        obs::Stage::kQuery);
+    return traced.value()->EstimateBatch(queries);
+  }();
 
   for (size_t i = 0; i < queries.size(); ++i) {
     if (only_query >= 0 && static_cast<int>(i) != only_query) continue;

@@ -9,8 +9,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <span>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -221,6 +222,19 @@ TEST(CompiledTwigTest, TruncatedPathLengthCapMatchesEstimator) {
 
 // --- Plan cache ----------------------------------------------------------
 
+// `count` distinct plan-cache shapes over the bibliography: //paper[year>i].
+std::vector<query::TwigQuery> PredicateShapes(const xml::Document& doc,
+                                              size_t count) {
+  std::vector<query::TwigQuery> queries;
+  for (size_t i = 0; i < count; ++i) {
+    auto q = query::ParsePath("//paper[year>" + std::to_string(i) + "]",
+                              doc.tags());
+    EXPECT_TRUE(q.ok()) << i;
+    queries.push_back(std::move(q).value());
+  }
+  return queries;
+}
+
 TEST(PlanCacheTest, RepeatedPrepareHitsAndReturnsSharedProgram) {
   xml::Document doc = data::MakeBibliography();
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
@@ -244,80 +258,61 @@ TEST(PlanCacheTest, RepeatedPrepareHitsAndReturnsSharedProgram) {
 TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   xml::Document doc = data::MakeBibliography();
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
-  service::ServiceOptions opts;
-  opts.plan_cache_capacity = 2;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(std::move(sketch));
   ASSERT_TRUE(svc.ok());
 
-  const char* paths[] = {"//author", "//paper", "//book"};
-  std::vector<query::TwigQuery> queries;
-  for (const char* p : paths) {
-    auto q = query::ParsePath(p, doc.tags());
-    ASSERT_TRUE(q.ok());
-    queries.push_back(std::move(q).value());
-  }
+  // kPlanCacheCapacity + 1 distinct shapes: the predicate bound is part
+  // of the canonical key.
+  constexpr size_t kCapacity = service::EstimationService::kPlanCacheCapacity;
+  const std::vector<query::TwigQuery> queries =
+      PredicateShapes(doc, kCapacity + 1);
 
   // Fill to capacity, then overflow: the least recently used entry
   // (queries[0]) is evicted.
   for (const auto& q : queries) ASSERT_TRUE(svc.value()->Prepare(q).ok());
   auto c = svc.value()->plan_cache_counters();
-  EXPECT_EQ(c.lookups, 3u);
+  EXPECT_EQ(c.lookups, kCapacity + 1);
   EXPECT_EQ(c.hits, 0u);
   EXPECT_EQ(c.evictions, 1u);
-  EXPECT_EQ(c.size, 2u);
+  EXPECT_EQ(c.size, kCapacity);
 
-  // queries[2] is resident (hit); queries[0] was evicted (miss, which in
-  // turn evicts queries[1]).
-  ASSERT_TRUE(svc.value()->Prepare(queries[2]).ok());
+  // The newest shape is resident (hit); queries[0] was evicted (miss,
+  // which in turn evicts queries[1], now the least recently used).
+  ASSERT_TRUE(svc.value()->Prepare(queries.back()).ok());
   EXPECT_EQ(svc.value()->plan_cache_counters().hits, 1u);
   ASSERT_TRUE(svc.value()->Prepare(queries[0]).ok());
   c = svc.value()->plan_cache_counters();
-  EXPECT_EQ(c.lookups, 5u);
+  EXPECT_EQ(c.lookups, kCapacity + 3);
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.evictions, 2u);
-  EXPECT_EQ(c.size, 2u);
+  EXPECT_EQ(c.size, kCapacity);
   ASSERT_TRUE(svc.value()->Prepare(queries[1]).ok());
   EXPECT_EQ(svc.value()->plan_cache_counters().hits, 1u);
-}
-
-TEST(PlanCacheTest, ZeroCapacityDisablesCaching) {
-  xml::Document doc = data::MakeBibliography();
-  TwigXSketch sketch = TwigXSketch::Coarsest(doc);
-  service::ServiceOptions opts;
-  opts.plan_cache_capacity = 0;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
-  ASSERT_TRUE(svc.ok());
-
-  auto q = query::ParsePath("//author/paper", doc.tags());
-  ASSERT_TRUE(q.ok());
-  auto p1 = svc.value()->Prepare(q.value());
-  auto p2 = svc.value()->Prepare(q.value());
-  ASSERT_TRUE(p1.ok() && p2.ok());
-  EXPECT_NE(p1.value().get(), p2.value().get());  // fresh compile each time
-  const auto c = svc.value()->plan_cache_counters();
-  EXPECT_EQ(c.hits, 0u);
-  EXPECT_EQ(c.size, 0u);
-  // Uncached programs still execute correctly.
-  EXPECT_TRUE(BitEqual(p1.value()->Execute(), p2.value()->Execute()));
 }
 
 // --- Concurrency (ThreadSanitizer target) --------------------------------
 
 TEST(CompileConcurrencyTest, ConcurrentPrepareExecuteBitIdentical) {
-  // 8 threads hammer Prepare + Execute on a shared service with a plan
-  // cache small enough to force concurrent compile/evict/hit traffic.
-  // Every result must be bitwise what the sequential reference computes.
+  // 8 threads hammer Prepare + Execute on a shared service with more
+  // distinct shapes than plan-cache slots, forcing concurrent
+  // compile/evict/hit traffic. Every result must be bitwise what the
+  // sequential reference computes.
   xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
   const Estimator reference(sketch);
 
-  const auto queries = XMarkWorkload(doc, 48);
+  constexpr size_t kCapacity = service::EstimationService::kPlanCacheCapacity;
+  auto queries = XMarkWorkload(doc, 48);
+  for (size_t i = 0; i <= kCapacity; ++i) {
+    auto q = query::ParsePath("//item[location>" + std::to_string(i) + "]",
+                              doc.tags());
+    ASSERT_TRUE(q.ok());
+    queries.push_back(std::move(q).value());
+  }
   std::vector<double> expected;
   for (const auto& q : queries) expected.push_back(reference.Estimate(q));
 
-  service::ServiceOptions opts;
-  opts.plan_cache_capacity = 8;  // far fewer slots than distinct shapes
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(std::move(sketch));
   ASSERT_TRUE(svc.ok());
 
   constexpr int kThreads = 8;
@@ -343,7 +338,7 @@ TEST(CompileConcurrencyTest, ConcurrentPrepareExecuteBitIdentical) {
 
   const auto c = svc.value()->plan_cache_counters();
   EXPECT_LE(c.hits, c.lookups);
-  EXPECT_LE(c.size, 8u);
+  EXPECT_LE(c.size, kCapacity);
   EXPECT_GT(c.evictions, 0u);
 }
 

@@ -375,7 +375,6 @@ TEST(MetricsConcurrencyTest, AuditModeBatchSharedRegistry) {
   service::ServiceOptions opts;
   opts.num_threads = 8;
   opts.audit_fraction = 0.5;
-  opts.audit_seed = 3;
   auto svc = service::EstimationService::Create(std::move(sketch), opts);
   ASSERT_TRUE(svc.ok()) << svc.status().ToString();
 
@@ -484,13 +483,12 @@ TEST(ServiceAuditTest, AuditSamplingIsDeterministic) {
   service::ServiceOptions opts;
   opts.num_threads = 4;
   opts.audit_fraction = 0.4;
-  opts.audit_seed = 11;
   auto svc = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(svc.ok());
   service::BatchStats a, b;
   svc.value()->EstimateBatch(queries, &a);
   svc.value()->EstimateBatch(queries, &b);
-  // Same seed, same positions -> the same queries are sampled.
+  // Same positions -> the same queries are sampled.
   EXPECT_EQ(a.audited, b.audited);
   EXPECT_GT(a.audited, 0u);
 }

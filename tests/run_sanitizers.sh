@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Builds and runs the concurrency-sensitive tests under ThreadSanitizer
-# and AddressSanitizer (the CI job for repos without a hosted runner).
+# and AddressSanitizer + UndefinedBehaviorSanitizer (the CI job for repos
+# without a hosted runner). The address tier compiles with
+# -fno-sanitize-recover=undefined, so undefined behaviour aborts the test.
 #
 #   tests/run_sanitizers.sh [thread|address]...   # default: both
 #

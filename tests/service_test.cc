@@ -169,6 +169,45 @@ TEST(EstimationServiceTest, BatchStatsAggregates) {
   EXPECT_EQ(again.plan_cache_hits, queries.size());
 }
 
+// Per-batch plan-cache numbers come from the batch's own queries, so two
+// batches overlapping on one service each report exactly their own
+// lookups (lifetime-counter deltas would count the other batch's too).
+TEST(EstimationServiceTest, OverlappingBatchesReportOwnPlanCacheStats) {
+  const std::vector<query::TwigQuery> workload = WorkloadQueries();
+  std::vector<query::TwigQuery> queries;
+  while (queries.size() < 2000) {
+    queries.push_back(workload[queries.size() % workload.size()]);
+  }
+  ServiceOptions opts;
+  opts.num_threads = 2;
+  auto svc = EstimationService::Create(
+      core::TwigXSketch::Coarsest(XMarkDoc()), opts);
+  ASSERT_TRUE(svc.ok());
+
+  constexpr int kCallers = 2;
+  BatchStats stats[kCallers];
+  std::atomic<int> ready{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      // Start both batches together so they overlap.
+      ready.fetch_add(1);
+      while (ready.load() < kCallers) std::this_thread::yield();
+      svc.value()->EstimateBatch(queries, &stats[c]);
+    });
+  }
+  for (auto& t : callers) t.join();
+
+  for (const BatchStats& s : stats) {
+    EXPECT_EQ(s.failed, 0u);
+    EXPECT_EQ(s.plan_cache_lookups, queries.size());
+    EXPECT_LE(s.plan_cache_hits, s.plan_cache_lookups);
+  }
+  const auto lifetime = svc.value()->plan_cache_counters();
+  EXPECT_EQ(lifetime.lookups, kCallers * queries.size());
+  EXPECT_EQ(lifetime.hits, stats[0].plan_cache_hits + stats[1].plan_cache_hits);
+}
+
 TEST(EstimationServiceTest, MalformedQueriesFailPerQueryNotPerBatch) {
   std::vector<query::TwigQuery> queries = WorkloadQueries();
   queries.resize(4);

@@ -1,8 +1,9 @@
-// Structural-tracing tests: Tracer ring/drop semantics, span nesting and
-// cross-thread context propagation, sampling, the Chrome/binary exporters,
-// the flight recorder, histogram exemplars, and EstimationService
-// integration (tracing must never perturb estimates). The concurrency
-// cases run under TSan/ASan via tests/run_sanitizers.sh.
+// Structural-tracing tests: Tracer ring/drop semantics at the fixed ring
+// capacity, span nesting and cross-thread context propagation, the Chrome
+// exporter, the flight recorder, histogram exemplars, and
+// EstimationService integration (caller-owned trace roots; tracing must
+// never perturb estimates). The concurrency cases run under TSan and
+// ASan+UBSan via tests/run_sanitizers.sh.
 
 #include <gtest/gtest.h>
 
@@ -30,31 +31,32 @@ bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-// Resets the process tracer to a clean sampled-off default before and
-// after each test: the tracer is a process singleton shared across the
-// whole binary, so every test starts from empty rings.
+// Resets the process tracer (rings and counters) before and after each
+// test: the tracer is a process singleton shared across the whole binary,
+// so every test starts from empty rings.
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override { obs::Tracer::Default().Configure({}); }
-  void TearDown() override { obs::Tracer::Default().Configure({}); }
+  void SetUp() override { obs::Tracer::Default().Reset(); }
+  void TearDown() override { obs::Tracer::Default().Reset(); }
 };
 
-// Flight tests additionally need the recorder's rings AND counters clean:
-// Configure restores the default capacity/threshold, Reset zeroes the
-// counters (other tests run services with the recorder default-on).
+// Flight tests additionally need the recorder's rings and counters clean
+// (other tests run services with the recorder always on).
 class FlightTest : public TraceTest {
  protected:
   void SetUp() override {
     TraceTest::SetUp();
-    obs::FlightRecorder::Default().Configure({});
     obs::FlightRecorder::Default().Reset();
   }
   void TearDown() override {
-    obs::FlightRecorder::Default().Configure({});
     obs::FlightRecorder::Default().Reset();
     TraceTest::TearDown();
   }
 };
+
+uint64_t RegistryCount(const char* name) {
+  return obs::MetricsRegistry::Default().GetCounter(name).value();
+}
 
 TEST_F(TraceTest, UnsampledScopeIsInert) {
   obs::Tracer& tracer = obs::Tracer::Default();
@@ -122,47 +124,37 @@ TEST_F(TraceTest, ForceTraceRecordsNestedSpans) {
   }
 }
 
-TEST_F(TraceTest, StartTraceHonorsSampleEvery) {
-  obs::Tracer& tracer = obs::Tracer::Default();
-  // sample_every = 0 (the default): StartTrace never samples.
-  for (int i = 0; i < 5; ++i) EXPECT_FALSE(tracer.StartTrace().sampled());
-
-  tracer.Configure({.sample_every = 3});
-  int sampled = 0;
-  for (int i = 0; i < 9; ++i) sampled += tracer.StartTrace().sampled();
-  EXPECT_EQ(sampled, 3);  // exactly every 3rd, any phase
-
-  tracer.Configure({.sample_every = 1});
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(tracer.StartTrace().sampled());
-
-  // Distinct sampled traces get distinct ids.
-  const uint64_t a = tracer.StartTrace().trace_id;
-  const uint64_t b = tracer.StartTrace().trace_id;
-  EXPECT_NE(a, 0u);
-  EXPECT_NE(a, b);
-}
-
 TEST_F(TraceTest, RingOverwriteCountsDrops) {
   obs::Tracer& tracer = obs::Tracer::Default();
-  tracer.Configure({.sample_every = 0, .ring_capacity = 4});
+  constexpr uint64_t kCapacity = obs::Tracer::kRingCapacity;
+  constexpr uint64_t kChildren = kCapacity + 6;
   const obs::TraceContext ctx = tracer.ForceTrace();
   {
     obs::SpanScope root(ctx, obs::Stage::kQuery);
-    for (int i = 0; i < 10; ++i) {
-      obs::SpanScope s(obs::Stage::kExecute, static_cast<uint64_t>(i));
+    for (uint64_t i = 0; i < kChildren; ++i) {
+      obs::SpanScope s(obs::Stage::kExecute, i);
     }
   }
-  // 11 appends (10 children + the root) into a 4-slot ring.
-  EXPECT_EQ(tracer.recorded(), 11u);
-  EXPECT_EQ(tracer.Snapshot().size(), 4u);
+  // kCapacity + 7 appends (the children, then the root) into one
+  // kCapacity-slot ring.
+  EXPECT_EQ(tracer.recorded(), kChildren + 1);
   EXPECT_EQ(tracer.dropped(), 7u);
+  // The registry counters /metrics exposes are the tracer's counts.
+  EXPECT_EQ(RegistryCount("xsketch_trace_spans_total"), kChildren + 1);
+  EXPECT_EQ(RegistryCount("xsketch_trace_spans_dropped_total"), 7u);
 
-  // The survivors are the newest spans (the overwrite discipline).
-  uint64_t max_arg = 0;
-  for (const obs::Span& s : tracer.Snapshot()) {
-    if (s.stage == obs::Stage::kExecute) max_arg = std::max(max_arg, s.arg);
+  // The survivors are the newest spans (the overwrite discipline): the
+  // first 7 children were overwritten.
+  const std::vector<obs::Span> spans = tracer.Snapshot();
+  ASSERT_EQ(spans.size(), kCapacity);
+  uint64_t min_arg = kChildren, max_arg = 0;
+  for (const obs::Span& s : spans) {
+    if (s.stage != obs::Stage::kExecute) continue;
+    min_arg = std::min(min_arg, s.arg);
+    max_arg = std::max(max_arg, s.arg);
   }
-  EXPECT_EQ(max_arg, 9u);
+  EXPECT_EQ(min_arg, 7u);
+  EXPECT_EQ(max_arg, kChildren - 1);
 }
 
 TEST_F(TraceTest, CrossThreadPropagation) {
@@ -219,8 +211,8 @@ TEST_F(TraceTest, UnsampledExplicitContextSuppressesNestedScopes) {
   obs::SpanScope root(ctx, obs::Stage::kQuery);
   {
     // An explicitly-unsampled scope masks the sampled thread context for
-    // its duration (what a rate-0 service does under a traced caller that
-    // declined to adopt).
+    // its duration (what a batch chunk of an untraced batch does on a
+    // worker thread).
     obs::SpanScope off(obs::TraceContext{}, obs::Stage::kBatch);
     EXPECT_FALSE(off.recording());
     EXPECT_FALSE(obs::CurrentTraceContext().sampled());
@@ -235,16 +227,16 @@ TEST_F(TraceTest, UnsampledExplicitContextSuppressesNestedScopes) {
 
 TEST_F(TraceTest, DrainClearsSpansKeepsDropCounter) {
   obs::Tracer& tracer = obs::Tracer::Default();
-  tracer.Configure({.sample_every = 0, .ring_capacity = 2});
   const obs::TraceContext ctx = tracer.ForceTrace();
   {
     obs::SpanScope root(ctx, obs::Stage::kQuery);
-    obs::SpanScope a(obs::Stage::kParse);
-    obs::SpanScope b(obs::Stage::kCompile);
+    for (size_t i = 0; i < obs::Tracer::kRingCapacity; ++i) {
+      obs::SpanScope s(obs::Stage::kParse);
+    }
   }
   const uint64_t dropped = tracer.dropped();
-  EXPECT_EQ(dropped, 1u);  // 3 spans, 2 slots
-  EXPECT_EQ(tracer.Drain().size(), 2u);
+  EXPECT_EQ(dropped, 1u);  // kRingCapacity + 1 spans, kRingCapacity slots
+  EXPECT_EQ(tracer.Drain().size(), obs::Tracer::kRingCapacity);
   EXPECT_TRUE(tracer.Snapshot().empty());
   EXPECT_EQ(tracer.dropped(), dropped);
 }
@@ -277,41 +269,6 @@ TEST_F(TraceTest, ChromeJsonExport) {
             std::count(json.begin(), json.end(), '}'));
 }
 
-TEST_F(TraceTest, BinaryRoundTrip) {
-  obs::Tracer& tracer = obs::Tracer::Default();
-  const obs::TraceContext ctx = tracer.ForceTrace();
-  {
-    obs::SpanScope root(ctx, obs::Stage::kBatch, 3);
-    obs::SpanScope a(obs::Stage::kBatchChunk, 1);
-    obs::SpanScope b(obs::Stage::kExecute);
-  }
-  const std::vector<obs::Span> spans = tracer.Snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-
-  const std::string bytes = obs::Tracer::ToBinary(spans);
-  auto restored = obs::Tracer::FromBinary(bytes);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored.value().size(), spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(restored.value()[i].trace_id, spans[i].trace_id);
-    EXPECT_EQ(restored.value()[i].span_id, spans[i].span_id);
-    EXPECT_EQ(restored.value()[i].parent_id, spans[i].parent_id);
-    EXPECT_EQ(restored.value()[i].start_ns, spans[i].start_ns);
-    EXPECT_EQ(restored.value()[i].dur_ns, spans[i].dur_ns);
-    EXPECT_EQ(restored.value()[i].arg, spans[i].arg);
-    EXPECT_EQ(restored.value()[i].tid, spans[i].tid);
-    EXPECT_EQ(restored.value()[i].stage, spans[i].stage);
-  }
-
-  // Corruption is rejected, not misparsed.
-  std::string bad_magic = bytes;
-  bad_magic[0] = 'Y';
-  EXPECT_FALSE(obs::Tracer::FromBinary(bad_magic).ok());
-  EXPECT_FALSE(
-      obs::Tracer::FromBinary(bytes.substr(0, bytes.size() - 1)).ok());
-  EXPECT_FALSE(obs::Tracer::FromBinary("XT").ok());
-}
-
 // --- EstimationService integration -------------------------------------------
 
 std::vector<query::TwigQuery> BibQueries(const xml::Document& doc) {
@@ -331,18 +288,19 @@ TEST_F(TraceTest, ServiceTracingNeverPerturbsEstimates) {
   const core::Estimator reference(sketch);
   const std::vector<query::TwigQuery> queries = BibQueries(doc);
 
-  service::ServiceOptions plain_opts;
-  plain_opts.num_threads = 2;
-  auto plain = service::EstimationService::Create(sketch, plain_opts);
+  service::ServiceOptions opts;
+  opts.num_threads = 2;
+  auto plain = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(plain.ok());
-
-  service::ServiceOptions traced_opts = plain_opts;
-  traced_opts.trace_sample_rate = 1.0;
-  auto traced = service::EstimationService::Create(sketch, traced_opts);
+  auto traced = service::EstimationService::Create(sketch, opts);
   ASSERT_TRUE(traced.ok());
 
   const auto a = plain.value()->EstimateBatch(queries);
-  const auto b = traced.value()->EstimateBatch(queries);
+  const auto b = [&] {
+    obs::SpanScope root(obs::Tracer::Default().ForceTrace(),
+                        obs::Stage::kQuery);
+    return traced.value()->EstimateBatch(queries);
+  }();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_TRUE(a[i].ok());
@@ -364,48 +322,87 @@ TEST_F(TraceTest, ServiceTracingNeverPerturbsEstimates) {
   EXPECT_TRUE(stages.count(obs::Stage::kExecute));
 }
 
+TEST_F(TraceTest, ForcedRootTracesBatchAsOneTree) {
+  // The caller owns the trace decision: a ForceTrace() root around
+  // EstimateBatch on a 4-thread service yields one span tree
+  // root -> kBatch -> kBatchChunk -> kQuery under the root's trace id,
+  // with chunk spans recorded on the worker threads.
+  xml::Document doc = data::MakeBibliography();
+  const std::vector<query::TwigQuery> queries = BibQueries(doc);
+  service::ServiceOptions opts;
+  opts.num_threads = 4;
+  auto svc = service::EstimationService::Create(
+      core::TwigXSketch::Coarsest(doc), opts);
+  ASSERT_TRUE(svc.ok());
+
+  obs::Tracer& tracer = obs::Tracer::Default();
+  const obs::TraceContext ctx = tracer.ForceTrace();
+  uint64_t root_id = 0;
+  {
+    obs::SpanScope root(ctx, obs::Stage::kQuery);
+    root_id = root.context().parent_span;
+    for (const auto& r : svc.value()->EstimateBatch(queries)) {
+      ASSERT_TRUE(r.ok());
+    }
+  }
+
+  const std::vector<obs::Span> all = tracer.Snapshot();
+  ASSERT_FALSE(all.empty());
+  std::map<uint64_t, obs::Span> by_id;
+  for (const obs::Span& s : all) {
+    EXPECT_EQ(s.trace_id, ctx.trace_id) << StageName(s.stage);
+    by_id[s.span_id] = s;
+  }
+  auto parent_stage = [&by_id](const obs::Span& s) {
+    EXPECT_TRUE(by_id.count(s.parent_id)) << StageName(s.stage);
+    return by_id[s.parent_id].stage;
+  };
+  size_t batches = 0, chunks = 0, query_spans = 0;
+  for (const obs::Span& s : all) {
+    switch (s.stage) {
+      case obs::Stage::kBatch:
+        ++batches;
+        EXPECT_EQ(s.parent_id, root_id);
+        EXPECT_EQ(s.arg, queries.size());
+        break;
+      case obs::Stage::kBatchChunk:
+        ++chunks;
+        EXPECT_EQ(parent_stage(s), obs::Stage::kBatch);
+        break;
+      case obs::Stage::kQuery:
+        if (s.span_id == root_id) break;
+        ++query_spans;
+        EXPECT_EQ(parent_stage(s), obs::Stage::kBatchChunk);
+        break;
+      case obs::Stage::kPlanCache:
+      case obs::Stage::kExecute:
+        EXPECT_EQ(parent_stage(s), obs::Stage::kQuery);
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(batches, 1u);
+  EXPECT_GE(chunks, 1u);
+  EXPECT_EQ(query_spans, queries.size());
+}
+
 TEST_F(TraceTest, ServiceRateZeroRecordsNothing) {
+  // Outside any sampled root the service records zero spans, for batches
+  // and single-query estimates alike: library code never starts a trace.
   xml::Document doc = data::MakeBibliography();
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
-  service::ServiceOptions opts;  // trace_sample_rate defaults to 0
+  service::ServiceOptions opts;
   opts.num_threads = 2;
   auto svc = service::EstimationService::Create(std::move(sketch), opts);
   ASSERT_TRUE(svc.ok());
-  const auto results = svc.value()->EstimateBatch(BibQueries(doc));
-  for (const auto& r : results) EXPECT_TRUE(r.ok());
-  EXPECT_EQ(obs::Tracer::Default().recorded(), 0u);
-}
-
-TEST_F(TraceTest, ServiceDeterministicSampling) {
-  // The per-service sampling decision is a pure function of (seed,
-  // ordinal): two services with the same seed sample the same ordinals.
-  xml::Document doc = data::MakeBibliography();
-  core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   const std::vector<query::TwigQuery> queries = BibQueries(doc);
-
-  service::ServiceOptions opts;
-  opts.num_threads = 1;
-  opts.trace_sample_rate = 0.5;
-  opts.trace_seed = 42;
-
-  uint64_t counts[2] = {0, 0};
-  for (int run = 0; run < 2; ++run) {
-    obs::Tracer::Default().Reset();
-    auto svc = service::EstimationService::Create(sketch, opts);
-    ASSERT_TRUE(svc.ok());
-    for (const auto& q : queries) ASSERT_TRUE(svc.value()->Estimate(q).ok());
-    counts[run] = obs::Tracer::Default().recorded();
+  for (const auto& r : svc.value()->EstimateBatch(queries)) {
+    EXPECT_TRUE(r.ok());
   }
-  EXPECT_EQ(counts[0], counts[1]);
-}
-
-TEST_F(TraceTest, InvalidSampleRateRejected) {
-  xml::Document doc = data::MakeBibliography();
-  core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
-  service::ServiceOptions opts;
-  opts.trace_sample_rate = 1.5;
-  EXPECT_FALSE(
-      service::EstimationService::Create(std::move(sketch), opts).ok());
+  for (const auto& q : queries) EXPECT_TRUE(svc.value()->Estimate(q).ok());
+  EXPECT_EQ(obs::Tracer::Default().recorded(), 0u);
+  EXPECT_TRUE(obs::Tracer::Default().Snapshot().empty());
 }
 
 // --- Flight recorder ---------------------------------------------------------
@@ -440,24 +437,26 @@ TEST_F(FlightTest, RecordsDumpNewestFirst) {
 
 TEST_F(FlightTest, CapacityOverwriteCountsDropped) {
   obs::FlightRecorder& rec = obs::FlightRecorder::Default();
-  rec.Configure({.capacity = 2, .slow_us = 1e9});
-  for (int i = 0; i < 5; ++i) {
+  constexpr size_t kRecords = obs::FlightRecorder::kCapacity + 3;
+  for (size_t i = 0; i < kRecords; ++i) {
     obs::FlightRecord r;
     r.twig_key = "k" + std::to_string(i);
     rec.Record(std::move(r));
   }
   const auto dump = rec.Dump();
-  ASSERT_EQ(dump.size(), 2u);
-  EXPECT_EQ(dump[0].twig_key, "k4");
-  EXPECT_EQ(dump[1].twig_key, "k3");
-  EXPECT_EQ(rec.counters().recorded, 5u);
+  ASSERT_EQ(dump.size(), obs::FlightRecorder::kCapacity);
+  EXPECT_EQ(dump.front().twig_key, "k" + std::to_string(kRecords - 1));
+  EXPECT_EQ(dump.back().twig_key, "k3");  // k0..k2 were overwritten
+  EXPECT_EQ(rec.counters().recorded, kRecords);
   EXPECT_EQ(rec.counters().dropped, 3u);
+  // The registry counters /metrics exposes are the recorder's counts.
+  EXPECT_EQ(RegistryCount("xsketch_flight_records_total"), kRecords);
+  EXPECT_EQ(RegistryCount("xsketch_flight_dropped_total"), 3u);
 }
 
 TEST_F(FlightTest, SlowAndErrorRecordsPromoteSpanTrees) {
   obs::Tracer& tracer = obs::Tracer::Default();
   obs::FlightRecorder& rec = obs::FlightRecorder::Default();
-  rec.Configure({.capacity = 16, .slow_us = 1000.0});
 
   const obs::TraceContext ctx = tracer.ForceTrace();
   {
@@ -476,7 +475,7 @@ TEST_F(FlightTest, SlowAndErrorRecordsPromoteSpanTrees) {
   obs::FlightRecord slow;
   slow.twig_key = "slow";
   slow.trace_id = ctx.trace_id;
-  slow.total_us = 5000.0;
+  slow.total_us = obs::FlightRecorder::kSlowUs;
   rec.Record(std::move(slow));
 
   // Failed: promoted regardless of latency.
@@ -547,7 +546,6 @@ TEST_F(FlightTest, ServiceRecordsEveryBatchQuery) {
 
 TEST_F(FlightTest, ConcurrentRecordersAndDumpers) {
   obs::FlightRecorder& rec = obs::FlightRecorder::Default();
-  rec.Configure({.capacity = 64, .slow_us = 1e9});
   constexpr int kThreads = 4;
   constexpr int kIters = 500;
   std::vector<std::thread> writers;
@@ -575,7 +573,6 @@ TEST_F(FlightTest, ConcurrentRecordersAndDumpers) {
   dumper.join();
   EXPECT_EQ(rec.counters().recorded,
             static_cast<uint64_t>(kThreads) * kIters);
-  rec.Configure({});
 }
 
 // --- Histogram exemplars -----------------------------------------------------
@@ -615,15 +612,18 @@ TEST_F(TraceTest, BatchLatencyExemplarLinksToTrace) {
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   service::ServiceOptions opts;
   opts.num_threads = 2;
-  opts.trace_sample_rate = 1.0;
   auto svc = service::EstimationService::Create(std::move(sketch), opts);
   ASSERT_TRUE(svc.ok());
 
   obs::Histogram& lat = obs::MetricsRegistry::Default().GetHistogram(
       "xsketch_service_query_latency_us", obs::LatencyBucketsUs());
   lat.TakeExemplar();  // fresh window
-  for (const auto& r : svc.value()->EstimateBatch(BibQueries(doc))) {
-    ASSERT_TRUE(r.ok());
+  {
+    obs::SpanScope root(obs::Tracer::Default().ForceTrace(),
+                        obs::Stage::kQuery);
+    for (const auto& r : svc.value()->EstimateBatch(BibQueries(doc))) {
+      ASSERT_TRUE(r.ok());
+    }
   }
   const obs::Histogram::Exemplar ex = lat.TakeExemplar();
   ASSERT_NE(ex.trace_id, 0u);
