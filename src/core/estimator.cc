@@ -34,28 +34,22 @@ util::Status EstimatorOptions::Validate() const {
   return util::Status::OK();
 }
 
-DescendantPathCache::DescendantPathCache() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  metric_lookups_ = &reg.GetCounter(
-      "xsketch_path_cache_lookups_total",
-      "'//'-expansion cache lookups across all estimators");
-  metric_hits_ = &reg.GetCounter(
-      "xsketch_path_cache_hits_total",
-      "'//'-expansion cache hits across all estimators");
-}
+DescendantPathCache::DescendantPathCache()
+    : lookups_("xsketch_path_cache_lookups_total",
+               "'//'-expansion cache lookups across all estimators"),
+      hits_("xsketch_path_cache_hits_total",
+            "'//'-expansion cache hits across all estimators") {}
 
 const DescendantPathCache::Paths* DescendantPathCache::Find(
     uint64_t key) const {
   // The lookup is recorded before the hit is published with release order
   // (see counters() for why), so hits can never be observed > lookups.
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  metric_lookups_->Increment();
+  lookups_.Increment();
   Shard& s = shard(key);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(key);
   if (it == s.map.end()) return nullptr;
-  hits_.fetch_add(1, std::memory_order_release);
-  metric_hits_->Increment();
+  hits_.Increment();
   return it->second.get();
 }
 

@@ -38,7 +38,6 @@
 #define XSKETCH_CORE_ESTIMATOR_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -93,8 +92,8 @@ class DescendantPathCache {
     uint64_t hits = 0;
   };
 
-  // Registers the process-wide mirror counters
-  // (xsketch_path_cache_{lookups,hits}_total) in the default registry.
+  // Reports its counters as xsketch_path_cache_{lookups,hits}_total in
+  // the default registry.
   DescendantPathCache();
 
   // The cached expansion for `key`, or nullptr. Counts one lookup.
@@ -105,12 +104,12 @@ class DescendantPathCache {
   const Paths& Insert(uint64_t key, Paths paths) const;
 
   // Snapshot of this cache's lifetime counters. hits <= lookups holds even
-  // against concurrent writers: a lookup is recorded (relaxed) before its
-  // hit is published (release), and the snapshot reads hits (acquire)
-  // before lookups, so any hit it observes implies its lookup is visible.
+  // against concurrent writers: a lookup is recorded before its hit is
+  // published (release), and the snapshot reads hits (acquire) before
+  // lookups, so any hit it observes implies its lookup is visible.
   Counters counters() const {
-    const uint64_t hits = hits_.load(std::memory_order_acquire);
-    const uint64_t lookups = lookups_.load(std::memory_order_relaxed);
+    const uint64_t hits = hits_.value();
+    const uint64_t lookups = lookups_.value();
     return {lookups, hits};
   }
 
@@ -127,11 +126,8 @@ class DescendantPathCache {
   }
 
   mutable std::array<Shard, kShards> shards_;
-  mutable std::atomic<uint64_t> lookups_{0};
-  mutable std::atomic<uint64_t> hits_{0};
-  // Process-wide mirrors (all caches aggregated) in the default registry.
-  obs::Counter* metric_lookups_;
-  obs::Counter* metric_hits_;
+  mutable obs::OwnedCounter lookups_;
+  mutable obs::OwnedCounter hits_;
 };
 
 // Shareable, internally synchronized estimator: all public methods are

@@ -103,18 +103,6 @@ util::Status DaemonOptions::Validate() const {
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   auto& reg = obs::MetricsRegistry::Default();
-  metrics_.requests = &reg.GetCounter(
-      "xsketch_daemon_requests_total",
-      "Requests dispatched to the daemon (both protocols)");
-  metrics_.shed = &reg.GetCounter(
-      "xsketch_daemon_shed_total",
-      "Requests shed by admission control (HTTP 429 / NACK overload)");
-  metrics_.deadline_expired = &reg.GetCounter(
-      "xsketch_daemon_deadline_expired_total",
-      "Requests whose deadline passed before execution started");
-  metrics_.errors = &reg.GetCounter(
-      "xsketch_daemon_errors_total",
-      "Requests answered with an error (excluding overload sheds)");
   metrics_.queue_depth = &reg.GetGauge(
       "xsketch_daemon_queue_depth",
       "Admission queue depth observed at the last dispatch");
@@ -173,10 +161,10 @@ util::Status Daemon::AddSketch(const std::string& doc_id,
 
 Daemon::Stats Daemon::stats() const {
   Stats s;
-  s.requests = metrics_.requests->value();
-  s.shed = metrics_.shed->value();
-  s.deadline_expired = metrics_.deadline_expired->value();
-  s.errors = metrics_.errors->value();
+  s.requests = metrics_.requests.value();
+  s.shed = metrics_.shed.value();
+  s.deadline_expired = metrics_.deadline_expired.value();
+  s.errors = metrics_.errors.value();
   return s;
 }
 
@@ -191,7 +179,7 @@ std::optional<Clock::time_point> Daemon::DeadlineFrom(
 
 void Daemon::Dispatch(net::ServerRequest&& request,
                       net::Responder responder) {
-  metrics_.requests->Increment();
+  metrics_.requests.Increment();
   if (request.proto == net::ServerRequest::Proto::kHttp) {
     DispatchHttp(std::move(request.http), std::move(responder));
   } else {
@@ -204,7 +192,7 @@ void Daemon::Admit(std::function<void()> work, net::Responder responder,
   if (draining()) {
     // The server already stops reading during drain, but requests parsed
     // in the same loop iteration as the drain signal can still arrive.
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(
         util::Status::Unavailable("server is draining"), binary));
     return;
@@ -213,7 +201,7 @@ void Daemon::Admit(std::function<void()> work, net::Responder responder,
       pool_->TrySubmit(std::move(work), options_.admission_queue_limit);
   metrics_.queue_depth->Set(static_cast<int64_t>(pool_->queue_depth()));
   if (admitted) return;
-  metrics_.shed->Increment();
+  metrics_.shed.Increment();
   if (binary) {
     responder.Send(BinaryNack(net::NackCode::kOverload,
                               "admission queue full; retry later"));
@@ -256,19 +244,19 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
 
   if (request.path != "/estimate" && request.path != "/batch" &&
       request.path != "/explain") {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(404, "unknown endpoint " + request.path));
     return;
   }
   if (request.method != "POST") {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(405, request.path + " is POST-only"));
     return;
   }
 
   auto parsed = net::ParseJson(request.body);
   if (!parsed.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(400, "request body: " +
                                       parsed.status().message()));
     return;
@@ -276,7 +264,7 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
   const net::JsonValue& body = parsed.value();
   const std::string* doc = body.FindString("doc");
   if (doc == nullptr) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(400, "missing string field 'doc'"));
     return;
   }
@@ -296,7 +284,7 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
     const net::JsonValue* queries = body.Find("queries");
     if (queries == nullptr ||
         queries->kind() != net::JsonValue::Kind::kArray) {
-      metrics_.errors->Increment();
+      metrics_.errors.Increment();
       responder.Send(HttpError(400, "missing array field 'queries'"));
       return;
     }
@@ -304,7 +292,7 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
     texts.reserve(queries->array().size());
     for (const net::JsonValue& q : queries->array()) {
       if (q.kind() != net::JsonValue::Kind::kString) {
-        metrics_.errors->Increment();
+        metrics_.errors.Increment();
         responder.Send(HttpError(400, "'queries' must be strings"));
         return;
       }
@@ -321,7 +309,7 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
 
   const std::string* query = body.FindString("query");
   if (query == nullptr) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(HttpError(400, "missing string field 'query'"));
     return;
   }
@@ -350,7 +338,7 @@ void Daemon::DispatchBinary(net::WireFrame&& frame,
   if (type == net::FrameType::kEstimate) {
     auto req = net::DecodeEstimateRequest(frame.payload);
     if (!req.ok()) {
-      metrics_.errors->Increment();
+      metrics_.errors.Increment();
       responder.Send(
           BinaryNack(net::NackCode::kBadRequest, req.status().message()));
       return;
@@ -368,7 +356,7 @@ void Daemon::DispatchBinary(net::WireFrame&& frame,
   if (type == net::FrameType::kBatch) {
     auto req = net::DecodeBatchRequest(frame.payload);
     if (!req.ok()) {
-      metrics_.errors->Increment();
+      metrics_.errors.Increment();
       responder.Send(
           BinaryNack(net::NackCode::kBadRequest, req.status().message()));
       return;
@@ -384,7 +372,7 @@ void Daemon::DispatchBinary(net::WireFrame&& frame,
         responder, /*binary=*/true);
     return;
   }
-  metrics_.errors->Increment();
+  metrics_.errors.Increment();
   responder.Send(BinaryNack(
       net::NackCode::kBadRequest,
       "unknown frame type " + std::to_string(frame.type)));
@@ -398,7 +386,7 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
   if (deadline.has_value() && Clock::now() >= *deadline) {
-    metrics_.deadline_expired->Increment();
+    metrics_.deadline_expired.Increment();
     responder.Send(ErrorResponse(
         util::Status::DeadlineExceeded(
             "deadline passed while queued for admission"),
@@ -407,20 +395,20 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
   }
   auto handle = catalog_->Get(doc);
   if (!handle.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(handle.status(), binary));
     return;
   }
   const service::EstimationService& service = handle.value().service();
   auto twig = ParseQueryText(query, service.tags());
   if (!twig.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(twig.status(), binary));
     return;
   }
   auto plan = service.Prepare(twig.value());
   if (!plan.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(plan.status(), binary));
     return;
   }
@@ -453,7 +441,7 @@ void Daemon::HandleBatch(const std::string& doc,
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
   if (deadline.has_value() && Clock::now() >= *deadline) {
-    metrics_.deadline_expired->Increment();
+    metrics_.deadline_expired.Increment();
     responder.Send(ErrorResponse(
         util::Status::DeadlineExceeded(
             "deadline passed while queued for admission"),
@@ -462,7 +450,7 @@ void Daemon::HandleBatch(const std::string& doc,
   }
   auto handle = catalog_->Get(doc);
   if (!handle.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(handle.status(), binary));
     return;
   }
@@ -570,19 +558,19 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
   }
   auto handle = catalog_->Get(doc);
   if (!handle.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(handle.status(), /*binary=*/false));
     return;
   }
   auto twig = ParseQueryText(query, handle.value().service().tags());
   if (!twig.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(twig.status(), /*binary=*/false));
     return;
   }
   auto plan = handle.value().Prepare(twig.value());
   if (!plan.ok()) {
-    metrics_.errors->Increment();
+    metrics_.errors.Increment();
     responder.Send(ErrorResponse(plan.status(), /*binary=*/false));
     return;
   }

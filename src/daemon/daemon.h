@@ -98,6 +98,8 @@ class Daemon {
   net::Server& server() { return *server_; }
   service::SketchCatalog& catalog() { return *catalog_; }
 
+  // This daemon's counts; the xsketch_daemon_*_total series sum them
+  // over every daemon in the process.
   struct Stats {
     uint64_t requests = 0;
     uint64_t shed = 0;              // admission-queue overflow
@@ -140,14 +142,22 @@ class Daemon {
   std::unique_ptr<service::SketchCatalog> catalog_;
 
   struct Metrics {
-    obs::Counter* requests;
-    obs::Counter* shed;
-    obs::Counter* deadline_expired;
-    obs::Counter* errors;
-    obs::Gauge* queue_depth;
-    obs::Histogram* handler_us;
+    obs::OwnedCounter requests{
+        "xsketch_daemon_requests_total",
+        "Requests dispatched to the daemon (both protocols)"};
+    obs::OwnedCounter shed{
+        "xsketch_daemon_shed_total",
+        "Requests shed by admission control (HTTP 429 / NACK overload)"};
+    obs::OwnedCounter deadline_expired{
+        "xsketch_daemon_deadline_expired_total",
+        "Requests whose deadline passed before execution started"};
+    obs::OwnedCounter errors{
+        "xsketch_daemon_errors_total",
+        "Requests answered with an error (excluding overload sheds)"};
+    obs::Gauge* queue_depth = nullptr;
+    obs::Histogram* handler_us = nullptr;
   };
-  Metrics metrics_{};
+  Metrics metrics_;
 
   // Destruction order matters: workers hold Responders into server_ and
   // handles from catalog_, so the pool (declared last) is destroyed/joined

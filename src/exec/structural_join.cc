@@ -206,10 +206,6 @@ BindingSkeleton MakeBindingSkeleton(const TwigQuery& twig) {
   return sk;
 }
 
-StructuralJoinExecutor::StructuralJoinExecutor(const StreamIndex& index,
-                                               const ExecOptions& options)
-    : index_(index), options_(options) {}
-
 util::Result<ExecStats> StructuralJoinExecutor::ExecuteNaive(
     const TwigQuery& twig) const {
   if (util::Status st = twig.Validate(); !st.ok()) return st;
@@ -333,11 +329,10 @@ util::Result<ExecStats> StructuralJoinExecutor::ExecuteBinary(
           if (member[p]) emit(src, m, p);
         }
       }
-      if (options_.max_emitted_rows != 0 &&
-          stats.emitted_rows + emitted > options_.max_emitted_rows) {
+      if (stats.emitted_rows + emitted > kMaxEmittedRows) {
         overflow = util::Status::OutOfRange(
-            "structural join exceeded max_emitted_rows = " +
-            std::to_string(options_.max_emitted_rows));
+            "structural join exceeded " + std::to_string(kMaxEmittedRows) +
+            " emitted rows");
       }
     }
     if (!overflow.ok()) return overflow;

@@ -76,13 +76,6 @@ struct BindingSkeleton {
 // Requires twig.Validate().ok().
 BindingSkeleton MakeBindingSkeleton(const query::TwigQuery& twig);
 
-struct ExecOptions {
-  // Hard cap on physical rows emitted across all joins of one execution;
-  // exceeding it fails with OutOfRange instead of exhausting memory on a
-  // hostile plan/query. 0 disables the cap.
-  uint64_t max_emitted_rows = uint64_t{1} << 27;
-};
-
 // Work accounting for one executed twig. `matches` is the exact binding
 // tuple count modulo 2^64 — bit-identical to ExactEvaluator::Selectivity
 // (both compute the same integer through uint64 ring operations).
@@ -112,8 +105,12 @@ struct ExecStats {
 // threads concurrently. Document and index must outlive the executor.
 class StructuralJoinExecutor {
  public:
-  explicit StructuralJoinExecutor(const StreamIndex& index,
-                                  const ExecOptions& options = {});
+  // Hard cap on physical rows emitted across all joins of one execution;
+  // exceeding it fails with OutOfRange instead of exhausting memory on a
+  // hostile plan/query.
+  static constexpr uint64_t kMaxEmittedRows = uint64_t{1} << 27;
+
+  explicit StructuralJoinExecutor(const StreamIndex& index) : index_(index) {}
 
   // Executes the twig's binding skeleton in the given join order. The
   // order must cover every skeleton edge exactly once and stay connected
@@ -131,7 +128,6 @@ class StructuralJoinExecutor {
 
  private:
   const StreamIndex& index_;
-  ExecOptions options_;
 };
 
 }  // namespace xsketch::exec

@@ -174,18 +174,6 @@ void Server::PostCompletion(uint64_t conn_id, ServerResponse&& response) {
   Wake('w');
 }
 
-Server::Stats Server::stats() const {
-  Stats s;
-  s.connections_opened = connections_opened_.load(std::memory_order_relaxed);
-  s.connections_rejected =
-      connections_rejected_.load(std::memory_order_relaxed);
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.evicted_slow = evicted_slow_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.open_connections = open_connections_.load(std::memory_order_relaxed);
-  return s;
-}
-
 void Server::Run() {
   std::vector<pollfd> pfds;
   // id parallel to pfds (0 = listener/wake slots).
@@ -305,7 +293,6 @@ void Server::AcceptReady(int64_t now_ms) {
       // FIN), which is the strongest "back off" signal we can send
       // before reading a single byte.
       ::close(fd);
-      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     const int one = 1;
@@ -316,8 +303,6 @@ void Server::AcceptReady(int64_t now_ms) {
     conn.last_read_ms = now_ms;
     conn.last_write_ms = now_ms;
     conns_.emplace(conn.id, std::move(conn));
-    connections_opened_.fetch_add(1, std::memory_order_relaxed);
-    open_connections_.store(conns_.size(), std::memory_order_relaxed);
   }
 }
 
@@ -411,7 +396,6 @@ void Server::ParseAndDispatch(Conn& conn, int64_t now_ms) {
       conn.rbuf.erase(0, parsed.consumed);
       conn.in_flight = true;
       conn.cur_keep_alive = parsed.request.keep_alive;
-      requests_.fetch_add(1, std::memory_order_relaxed);
       ServerRequest req;
       req.proto = ServerRequest::Proto::kHttp;
       req.http = std::move(parsed.request);
@@ -427,7 +411,6 @@ void Server::ParseAndDispatch(Conn& conn, int64_t now_ms) {
       conn.rbuf.erase(0, parsed.consumed);
       conn.in_flight = true;
       conn.cur_keep_alive = true;
-      requests_.fetch_add(1, std::memory_order_relaxed);
       ServerRequest req;
       req.proto = ServerRequest::Proto::kBinary;
       req.frame = std::move(parsed.frame);
@@ -439,7 +422,6 @@ void Server::ParseAndDispatch(Conn& conn, int64_t now_ms) {
 
 void Server::FailConn(Conn& conn, int http_status, NackCode code,
                       const std::string& message) {
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   if (conn.proto == Conn::Proto::kBinary) {
     std::string payload = EncodeNack(code, message);
     AppendWireFrame(&conn.wbuf, FrameType::kNack, payload);
@@ -541,15 +523,11 @@ void Server::SweepTimeouts(int64_t now_ms) {
       evict.push_back(id);
     }
   }
-  for (uint64_t id : evict) {
-    evicted_slow_.fetch_add(1, std::memory_order_relaxed);
-    CloseConn(id);
-  }
+  for (uint64_t id : evict) CloseConn(id);
   for (uint64_t id : linger_done) CloseConn(id);
   for (uint64_t id : fail_read) {
     auto it = conns_.find(id);
     if (it == conns_.end()) continue;
-    evicted_slow_.fetch_add(1, std::memory_order_relaxed);
     FailConn(it->second, 408, NackCode::kBadRequest,
              "timed out waiting for the rest of the request");
   }
@@ -560,7 +538,6 @@ void Server::CloseConn(uint64_t conn_id) {
   if (it == conns_.end()) return;
   CloseFd(it->second.fd);
   conns_.erase(it);
-  open_connections_.store(conns_.size(), std::memory_order_relaxed);
 }
 
 }  // namespace xsketch::net

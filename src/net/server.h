@@ -140,16 +140,6 @@ class Server {
     return draining_.load(std::memory_order_relaxed);
   }
 
-  struct Stats {
-    uint64_t connections_opened = 0;
-    uint64_t connections_rejected = 0;  // at max_connections
-    uint64_t requests = 0;
-    uint64_t evicted_slow = 0;          // read/write-stall evictions
-    uint64_t protocol_errors = 0;
-    size_t open_connections = 0;
-  };
-  Stats stats() const;
-
  private:
   struct Conn {
     uint64_t id = 0;
@@ -217,14 +207,6 @@ class Server {
 
   std::mutex completions_mu_;
   std::vector<Completion> completions_;  // guarded by completions_mu_
-
-  // Loop-thread-written, any-thread-read counters.
-  std::atomic<uint64_t> connections_opened_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> evicted_slow_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<size_t> open_connections_{0};
 };
 
 }  // namespace xsketch::net

@@ -124,15 +124,17 @@ MetricsRegistry& MetricsRegistry::Default() {
 
 MetricsRegistry::Entry& MetricsRegistry::GetEntry(std::string_view name,
                                                   Kind kind,
-                                                  std::string_view help) {
+                                                  std::string_view help,
+                                                  bool owned) {
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
     Entry entry;
     entry.kind = kind;
     entry.help = std::string(help);
+    entry.owned = owned;
     it = metrics_.emplace(std::string(name), std::move(entry)).first;
   }
-  XS_CHECK_MSG(it->second.kind == kind,
+  XS_CHECK_MSG(it->second.kind == kind && it->second.owned == owned,
                "metric re-registered with a different kind");
   return it->second;
 }
@@ -143,6 +145,25 @@ Counter& MetricsRegistry::GetCounter(std::string_view name,
   Entry& e = GetEntry(name, Kind::kCounter, help);
   if (!e.counter) e.counter = std::make_unique<Counter>();
   return *e.counter;
+}
+
+OwnedCounter::OwnedCounter(std::string_view name, std::string_view help) {
+  MetricsRegistry& reg = MetricsRegistry::Default();
+  std::lock_guard<std::mutex> lock(reg.mu_);
+  entry_ = &reg.GetEntry(name, MetricsRegistry::Kind::kCounter, help,
+                         /*owned=*/true);
+  if (!entry_->counter) entry_->counter = std::make_unique<Counter>();
+  entry_->owners.push_back(this);
+}
+
+OwnedCounter::~OwnedCounter() {
+  // Under the registry lock, so a snapshot sees this owner either live or
+  // folded in, never both or neither.
+  std::lock_guard<std::mutex> lock(MetricsRegistry::Default().mu_);
+  entry_->counter->Increment(value());
+  auto it = std::find(entry_->owners.begin(), entry_->owners.end(), this);
+  *it = entry_->owners.back();
+  entry_->owners.pop_back();
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name,
@@ -173,7 +194,10 @@ std::vector<MetricsRegistry::MetricSnapshot> MetricsRegistry::Snapshot()
     s.help = entry.help;
     s.kind = entry.kind;
     switch (entry.kind) {
-      case Kind::kCounter: s.counter_value = entry.counter->value(); break;
+      case Kind::kCounter:
+        s.counter_value = entry.counter->value();
+        for (auto* o : entry.owners) s.counter_value += o->value();
+        break;
       case Kind::kGauge: s.gauge_value = entry.gauge->value(); break;
       case Kind::kHistogram: s.histogram = entry.histogram->snapshot(); break;
     }
@@ -279,7 +303,10 @@ void MetricsRegistry::Reset() {
   for (auto& [name, entry] : metrics_) {
     (void)name;
     switch (entry.kind) {
-      case Kind::kCounter: entry.counter->Reset(); break;
+      case Kind::kCounter:
+        entry.counter->Reset();
+        for (OwnedCounter* o : entry.owners) o->value_.store(0);
+        break;
       case Kind::kGauge: entry.gauge->Set(0.0); break;
       case Kind::kHistogram: entry.histogram->Reset(); break;
     }

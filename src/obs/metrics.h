@@ -8,13 +8,18 @@
 // relaxed atomic add with no lock and no lookup. Registration itself takes
 // a mutex and is expected at construction boundaries only.
 //
+// An object that reports its own count of an event (a cache's lookups, a
+// daemon's sheds) holds an OwnedCounter instead: the event is counted
+// once, in its owner, and the registry reports the label-free series as
+// the sum over live and destroyed owners.
+//
 // Snapshots (JSON and Prometheus-style text exposition) read every value
 // with relaxed loads: each individual metric is internally consistent — a
 // histogram's count is defined as the sum of its bucket counts, so it
 // always equals the observations the snapshot saw — but relations
 // *between* metrics (e.g. cache hits <= lookups) are only exact at
-// quiescence; subsystems that need a mid-flight ordering guarantee
-// enforce it on their own atomics (see DescendantPathCache::counters()).
+// quiescence; an owner that needs a mid-flight ordering gets it from
+// its OwnedCounters (see DescendantPathCache::counters()).
 //
 // Exposition-format stability promise: metric names, label-free Prometheus
 // text layout (# HELP / # TYPE / cumulative _bucket{le=...} / _sum /
@@ -132,6 +137,8 @@ class Histogram {
   Exemplar exemplar_;
 };
 
+class OwnedCounter;
+
 class MetricsRegistry {
  public:
   // The process-wide registry every subsystem registers through.
@@ -144,8 +151,9 @@ class MetricsRegistry {
   // Return the metric registered under `name`, creating it on first use.
   // References stay valid for the registry's lifetime. Requesting an
   // existing name with a different metric kind aborts (names are
-  // process-wide and must mean one thing). For histograms, the first
-  // registration fixes the bucket bounds; later bounds are ignored.
+  // process-wide and must mean one thing), and so does GetCounter() on
+  // a name OwnedCounters report. For histograms, the first registration
+  // fixes the bucket bounds; later bounds are ignored.
   Counter& GetCounter(std::string_view name, std::string_view help = "");
   Gauge& GetGauge(std::string_view name, std::string_view help = "");
   Histogram& GetHistogram(std::string_view name, std::vector<double> bounds,
@@ -169,23 +177,57 @@ class MetricsRegistry {
   std::string ToJson() const;
   std::string ToPrometheusText() const;
 
-  // Zeroes every registered value (bench/test isolation; not a hot path,
-  // and not atomic with respect to concurrent writers).
+  // Zeroes every registered value, live OwnedCounters included (bench/
+  // test isolation; not a hot path, and not atomic with respect to
+  // concurrent writers).
   void Reset();
 
  private:
+  friend class OwnedCounter;
+
   struct Entry {
     Kind kind = Kind::kCounter;
     std::string help;
+    // An OwnedCounter series: `counter` holds the final counts of
+    // destroyed owners, `owners` the live ones.
+    bool owned = false;
+    std::vector<OwnedCounter*> owners;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 
-  Entry& GetEntry(std::string_view name, Kind kind, std::string_view help);
+  Entry& GetEntry(std::string_view name, Kind kind, std::string_view help,
+                  bool owned = false);
 
   mutable std::mutex mu_;
   std::map<std::string, Entry, std::less<>> metrics_;
+};
+
+// An event count owned by one object: value() is that object's count,
+// and series `name` in MetricsRegistry::Default() sums it over every
+// owner, live or destroyed, so the series never decreases when an owner
+// is replaced. Increments publish with release order and value() reads
+// with acquire: an owner that increments A before B and reads B before A
+// never sees B exceed A.
+class OwnedCounter {
+ public:
+  explicit OwnedCounter(std::string_view name, std::string_view help = "");
+  ~OwnedCounter();  // folds the final count into the series
+
+  OwnedCounter(const OwnedCounter&) = delete;
+  OwnedCounter& operator=(const OwnedCounter&) = delete;
+
+  void Increment(uint64_t delta = 1) {
+    value_.fetch_add(delta, std::memory_order_release);
+  }
+  uint64_t value() const { return value_.load(std::memory_order_acquire); }
+
+ private:
+  friend class MetricsRegistry;
+
+  std::atomic<uint64_t> value_{0};
+  MetricsRegistry::Entry* entry_ = nullptr;  // the series (registry-owned)
 };
 
 // Shared bucket layouts, so related metrics stay comparable.

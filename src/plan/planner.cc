@@ -18,6 +18,11 @@ using exec::MakeBindingSkeleton;
 using query::Axis;
 using query::TwigQuery;
 
+// Most binding nodes the O(2^B) subset DP takes; wider twigs (far beyond
+// workload twigs) fall back to the naive syntactic order.
+constexpr int kMaxDpBindingNodes = 20;
+static_assert(kMaxDpBindingNodes < 32, "subset masks are uint32_t");
+
 std::string FormatRows(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -145,7 +150,7 @@ util::Result<TwigPlan> PlanTwig(const TwigQuery& twig,
       if (!c.ok()) return c.status();
       merged += std::max(0.0, c.value());
     }
-    plan.holistic_cost = options.holistic_cost_factor * merged;
+    plan.holistic_cost = merged;
   }
 
   if (B == 1) {
@@ -161,8 +166,7 @@ util::Result<TwigPlan> PlanTwig(const TwigQuery& twig,
     return plan;
   }
 
-  if (B > options.max_dp_binding_nodes ||
-      B >= static_cast<int>(sizeof(uint32_t) * 8)) {
+  if (B > kMaxDpBindingNodes) {
     // Too wide for the exact DP: fall back to the syntactic order.
     plan.order = skeleton.edges;
     plan.optimized = false;

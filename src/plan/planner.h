@@ -18,7 +18,8 @@
 //      provably optimal over this plan space;
 //   4. weighs the best binary order against the holistic operator
 //      (exec/twig_stack.h), whose cost is input-bound rather than
-//      intermediate-bound.
+//      intermediate-bound; both costs are modeled rows touched and are
+//      compared directly, with no bias toward either operator.
 //
 // card(S) comes from a CardinalityProvider (plan/cardinality.h):
 // XSKETCH estimates in production, ground truth as the oracle baseline.
@@ -45,14 +46,6 @@ struct PlannerOptions {
   // modeled cost beats the best binary order. Off = always binary (used
   // by benchmarks that compare join orders in isolation).
   bool consider_holistic = true;
-  // Multiplier on the holistic operator's input-scan cost; > 1 biases
-  // toward binary plans, < 1 toward holistic. 1.0 models both operators
-  // as "rows touched".
-  double holistic_cost_factor = 1.0;
-  // Upper bound on binding nodes for the exact subset DP (memory is
-  // O(2^B)); twigs beyond it fall back to the naive syntactic order.
-  // Workload twigs are far below the default.
-  int max_dp_binding_nodes = 20;
 };
 
 // One planned execution of a twig query.
@@ -66,14 +59,14 @@ struct TwigPlan {
   // Cost model terms, all in estimated rows.
   double input_cost = 0.0;        // summed per-node input stream sizes
   double binary_cost = 0.0;       // summed intermediate cardinalities
-  double holistic_cost = 0.0;     // factor * merged-stream scan
+  double holistic_cost = 0.0;     // merged-stream scan
   double result_estimate = 0.0;   // card(full binding set)
   // card(S_k) along the chosen chain, k = 2 … B (last = result
   // estimate); empty when order is empty.
   std::vector<double> step_cards;
 
-  // True when the subset DP ran; false when the twig exceeded
-  // max_dp_binding_nodes and `order` is the naive fallback.
+  // True when the subset DP ran; false when the twig has more binding
+  // nodes than the DP takes (20) and `order` is the naive fallback.
   bool optimized = false;
 
   // Human-readable one-liner, e.g. "binary[(0<-2) (2<-3) (0<-1)] cost=12".

@@ -149,14 +149,6 @@ EstimationService::EstimationService(
       "xsketch_service_audit_rel_error", obs::RelativeErrorBuckets(),
       "audit relative error |r - c| / max(s, c), the paper's Section 6.1 "
       "metric");
-  metrics_.plan_lookups =
-      &reg.GetCounter("xsketch_service_plan_cache_lookups_total",
-                      "compiled-plan cache lookups");
-  metrics_.plan_hits = &reg.GetCounter("xsketch_service_plan_cache_hits_total",
-                                       "compiled-plan cache hits");
-  metrics_.plan_evictions =
-      &reg.GetCounter("xsketch_service_plan_cache_evictions_total",
-                      "compiled plans evicted from the LRU cache");
   metrics_.deadline_abandoned = &reg.GetCounter(
       "xsketch_service_deadline_abandoned_total",
       "batch queries abandoned at chunk boundaries past their deadline");
@@ -178,15 +170,13 @@ EstimationService::PrepareAttributed(const query::TwigQuery& twig,
   if (util::Status st = twig.Validate(); !st.ok()) return st;
   std::string key = CanonicalTwigKey(twig);
   obs::SpanScope cache_span(obs::Stage::kPlanCache);
-  metrics_.plan_lookups->Increment();
+  plan_cache_lookups_.Increment();
   if (attr != nullptr) attr->plan_cache_lookup = true;
   {
     std::lock_guard<std::mutex> lock(plan_mu_);
-    ++plan_lookups_;
     auto it = plan_index_.find(key);
     if (it != plan_index_.end()) {
-      ++plan_hits_;
-      metrics_.plan_hits->Increment();
+      plan_cache_hits_.Increment();
       plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
       cache_span.set_arg(1);  // hit
       if (attr != nullptr) {
@@ -229,17 +219,21 @@ EstimationService::PrepareAttributed(const query::TwigQuery& twig,
   while (plan_lru_.size() > kPlanCacheCapacity) {
     plan_index_.erase(plan_lru_.back().key);
     plan_lru_.pop_back();
-    ++plan_evictions_;
-    metrics_.plan_evictions->Increment();
+    plan_cache_evictions_.Increment();
   }
   return plan;
 }
 
 EstimationService::PlanCacheCounters EstimationService::plan_cache_counters()
     const {
+  // Hits before lookups, so hits <= lookups (see obs::OwnedCounter).
+  PlanCacheCounters c;
+  c.hits = plan_cache_hits_.value();
+  c.lookups = plan_cache_lookups_.value();
+  c.evictions = plan_cache_evictions_.value();
   std::lock_guard<std::mutex> lock(plan_mu_);
-  return PlanCacheCounters{plan_lookups_, plan_hits_, plan_evictions_,
-                           plan_lru_.size()};
+  c.size = plan_lru_.size();
+  return c;
 }
 
 util::Result<core::EstimateStats> EstimationService::EstimateCompiled(

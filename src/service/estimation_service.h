@@ -187,7 +187,8 @@ class EstimationService {
     uint64_t evictions = 0;
     size_t size = 0;  // programs currently cached
   };
-  // Lifetime plan-cache activity for this service.
+  // Lifetime plan-cache activity for this service (the registry's
+  // xsketch_service_plan_cache_*_total series sum it over all services).
   PlanCacheCounters plan_cache_counters() const;
 
   // False for frozen-only services (no TwigXSketch, no source document);
@@ -248,9 +249,6 @@ class EstimationService {
     obs::Histogram* latency_us;
     obs::Counter* audit_samples;
     obs::Histogram* audit_rel_error;
-    obs::Counter* plan_lookups;
-    obs::Counter* plan_hits;
-    obs::Counter* plan_evictions;
     // Batch queries abandoned at a chunk boundary because the request
     // deadline had already passed.
     obs::Counter* deadline_abandoned;
@@ -281,9 +279,15 @@ class EstimationService {
   mutable std::mutex plan_mu_;
   mutable PlanList plan_lru_;
   mutable std::unordered_map<std::string, PlanList::iterator> plan_index_;
-  mutable uint64_t plan_lookups_ = 0;   // guarded by plan_mu_
-  mutable uint64_t plan_hits_ = 0;
-  mutable uint64_t plan_evictions_ = 0;
+  // This service's plan-cache activity (see plan_cache_counters()).
+  mutable obs::OwnedCounter plan_cache_lookups_{
+      "xsketch_service_plan_cache_lookups_total",
+      "compiled-plan cache lookups"};
+  mutable obs::OwnedCounter plan_cache_hits_{
+      "xsketch_service_plan_cache_hits_total", "compiled-plan cache hits"};
+  mutable obs::OwnedCounter plan_cache_evictions_{
+      "xsketch_service_plan_cache_evictions_total",
+      "compiled plans evicted from the LRU cache"};
   // Ground-truth evaluator for audit mode; null when auditing is off.
   // ExactEvaluator::Selectivity is const with call-local memoization, so
   // one instance serves all workers concurrently.

@@ -35,21 +35,6 @@ util::Result<std::unique_ptr<SketchCatalog>> SketchCatalog::Create(
 SketchCatalog::SketchCatalog(const CatalogOptions& options)
     : options_(options) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  metrics_.loads = &reg.GetCounter("xsketch_catalog_loads_total",
-                                   "XSK3 sketches loaded into the catalog");
-  metrics_.load_failures =
-      &reg.GetCounter("xsketch_catalog_load_failures_total",
-                      "XSK3 loads rejected (validation or I/O failure)");
-  metrics_.hits = &reg.GetCounter("xsketch_catalog_hits_total",
-                                  "catalog lookups that found the doc id");
-  metrics_.misses = &reg.GetCounter("xsketch_catalog_misses_total",
-                                    "catalog lookups that missed");
-  metrics_.evictions =
-      &reg.GetCounter("xsketch_catalog_evictions_total",
-                      "sketches evicted to satisfy the byte budget");
-  metrics_.swaps =
-      &reg.GetCounter("xsketch_catalog_swaps_total",
-                      "hot swaps (Put replacing an existing doc id)");
   metrics_.sketches = &reg.GetGauge("xsketch_catalog_sketches",
                                     "sketches currently resident");
   metrics_.resident_bytes =
@@ -77,11 +62,7 @@ util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
         return loaded;
       }();
   if (!frozen.ok()) {
-    metrics_.load_failures->Increment();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.load_failures;
-    }
+    metrics_.load_failures.Increment();
     return frozen.status();
   }
 
@@ -104,8 +85,7 @@ util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
       EstimationService::Create(std::move(frozen).value(), service_options);
   XS_CHECK(service.ok());  // options validated by SketchCatalog::Create
   handle.service_ = std::move(service).value();
-  ++counters_.loads;
-  metrics_.loads->Increment();
+  metrics_.loads.Increment();
   auto it = index_.find(doc_id);
   if (it != index_.end()) {
     // Atomic hot swap: the old generation leaves the catalog here, but
@@ -119,8 +99,7 @@ util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
     resident_bytes_ += handle.size_bytes_;
     metrics_.resident_bytes->Add(static_cast<double>(handle.size_bytes_));
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++counters_.swaps;
-    metrics_.swaps->Increment();
+    metrics_.swaps.Increment();
   } else {
     lru_.push_front(handle);
     index_.emplace(doc_id, lru_.begin());
@@ -136,13 +115,11 @@ util::Result<SketchHandle> SketchCatalog::Get(const std::string& doc_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(doc_id);
   if (it == index_.end()) {
-    ++counters_.misses;
-    metrics_.misses->Increment();
+    metrics_.misses.Increment();
     return util::Status::NotFound("no sketch for document '" + doc_id +
                                   "'");
   }
-  ++counters_.hits;
-  metrics_.hits->Increment();
+  metrics_.hits.Increment();
   lru_.splice(lru_.begin(), lru_, it->second);
   return *it->second;
 }
@@ -174,14 +151,19 @@ void SketchCatalog::EnforceBudgetLocked(const std::string& keep) {
     metrics_.sketches->Sub(1.0);
     index_.erase(victim->doc_id_);
     lru_.erase(victim);
-    ++counters_.evictions;
-    metrics_.evictions->Increment();
+    metrics_.evictions.Increment();
   }
 }
 
 SketchCatalog::Stats SketchCatalog::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Stats s = counters_;
+  Stats s;
+  s.loads = metrics_.loads.value();
+  s.load_failures = metrics_.load_failures.value();
+  s.hits = metrics_.hits.value();
+  s.misses = metrics_.misses.value();
+  s.evictions = metrics_.evictions.value();
+  s.swaps = metrics_.swaps.value();
   s.sketches = lru_.size();
   s.resident_bytes = resident_bytes_;
   s.generation = next_generation_ - 1;

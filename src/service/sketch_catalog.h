@@ -27,8 +27,8 @@
 // callers still pin.
 //
 // Metrics (process-wide registry, obs/metrics.h): xsketch_catalog_
-// {loads,load_failures,hits,misses,evictions,swaps}_total counters and
-// {sketches,resident_bytes} gauges.
+// {loads,load_failures,hits,misses,evictions,swaps}_total counters, the
+// sums of every catalog's stats(), and {sketches,resident_bytes} gauges.
 
 #ifndef XSKETCH_SERVICE_SKETCH_CATALOG_H_
 #define XSKETCH_SERVICE_SKETCH_CATALOG_H_
@@ -144,15 +144,25 @@ class SketchCatalog {
   // holds mu_.
   void EnforceBudgetLocked(const std::string& keep);
 
+  // This catalog's event counts (the Stats fields of the same names) and
+  // the process-wide gauges.
   struct Metrics {
-    obs::Counter* loads;
-    obs::Counter* load_failures;
-    obs::Counter* hits;
-    obs::Counter* misses;
-    obs::Counter* evictions;
-    obs::Counter* swaps;
-    obs::Gauge* sketches;
-    obs::Gauge* resident_bytes;
+    obs::OwnedCounter loads{"xsketch_catalog_loads_total",
+                            "XSK3 sketches loaded into the catalog"};
+    obs::OwnedCounter load_failures{
+        "xsketch_catalog_load_failures_total",
+        "XSK3 loads rejected (validation or I/O failure)"};
+    obs::OwnedCounter hits{"xsketch_catalog_hits_total",
+                           "catalog lookups that found the doc id"};
+    obs::OwnedCounter misses{"xsketch_catalog_misses_total",
+                             "catalog lookups that missed"};
+    obs::OwnedCounter evictions{
+        "xsketch_catalog_evictions_total",
+        "sketches evicted to satisfy the byte budget"};
+    obs::OwnedCounter swaps{"xsketch_catalog_swaps_total",
+                            "hot swaps (Put replacing an existing doc id)"};
+    obs::Gauge* sketches = nullptr;
+    obs::Gauge* resident_bytes = nullptr;
   };
 
   // LRU list: most recently used at the front; the map indexes by doc id.
@@ -164,7 +174,6 @@ class SketchCatalog {
   std::unordered_map<std::string, LruList::iterator> index_;
   uint64_t resident_bytes_ = 0;
   uint64_t next_generation_ = 1;
-  Stats counters_;  // loads/hits/... (sketches & resident filled on read)
   Metrics metrics_;
 };
 

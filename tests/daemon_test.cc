@@ -534,6 +534,56 @@ TEST_F(DaemonTest, OverloadShedsExplicitlyAndBoundsAcceptedTail) {
   EXPECT_LT(p99, 2000.0) << "accepted p99 " << p99 << "ms";
 }
 
+// Each daemon's stats() counts only its own requests; the registry's
+// xsketch_daemon_*_total series sum them over every daemon.
+TEST_F(DaemonTest, StatsArePerDaemon) {
+  const uint64_t requests_before =
+      CounterSeries("xsketch_daemon_requests_total");
+  const uint64_t shed_before = CounterSeries("xsketch_daemon_shed_total");
+  daemon::DaemonOptions busy;
+  busy.worker_threads = 1;
+  busy.admission_queue_limit = 1;
+  StartDaemon(std::move(busy));
+  daemon::DaemonOptions idle_options;
+  idle_options.server.port = 0;
+  idle_options.sketches.emplace_back("bib", *sketch_path_);
+  auto idle = daemon::Daemon::Create(std::move(idle_options));
+  ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+  std::thread idle_loop([&idle] { idle.value()->Run(); });
+
+  // One worker, one queue slot, 20 ms per request: four closed-loop
+  // clients overflow the busy daemon's queue within a few requests.
+  xsketch::testing::FaultPoints::Config slow;
+  slow.delay_ms = 20;
+  xsketch::testing::FaultPoints::Default().Arm("daemon.slow_handler", slow);
+  std::atomic<bool> shed{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([this, &shed] {
+      for (int i = 0; i < 100 && !shed.load(); ++i) {
+        auto resp = HttpRoundTrip(port(), "POST", "/estimate",
+                                  R"({"doc":"bib","query":"//book"})");
+        if (resp.status == 429) shed.store(true);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  const daemon::Daemon::Stats busy_stats = daemon_->stats();
+  const daemon::Daemon::Stats idle_stats = idle.value()->stats();
+  idle.value()->Stop();
+  idle_loop.join();
+
+  EXPECT_TRUE(shed.load());
+  EXPECT_GT(busy_stats.shed, 0u);
+  EXPECT_EQ(idle_stats.shed, 0u);
+  EXPECT_EQ(idle_stats.requests, 0u);
+  EXPECT_EQ(CounterSeries("xsketch_daemon_shed_total") - shed_before,
+            busy_stats.shed);
+  EXPECT_EQ(CounterSeries("xsketch_daemon_requests_total") - requests_before,
+            busy_stats.requests);
+}
+
 // --- graceful drain under load ------------------------------------------
 
 TEST_F(DaemonTest, DrainUnderLoadFinishesInFlightAndReturns) {

@@ -278,12 +278,19 @@ TEST(StructuralJoinTest, InvalidOrdersAreRejected) {
 }
 
 TEST(StructuralJoinTest, EmittedRowCapReturnsOutOfRange) {
-  const xml::Document doc = MakeBib();
+  // A chain of n nested <a>: //a//a pairs every a with each a below it,
+  // n(n-1)/2 = 134,225,920 rows for n = 16,385, just past the 2^27 cap.
+  // It is the final join, so no row is materialized before the cap hits.
+  constexpr uint64_t kChain = 16385;
+  static_assert(kChain * (kChain - 1) / 2 >
+                StructuralJoinExecutor::kMaxEmittedRows);
+  xml::Document doc;
+  xml::NodeId parent = xml::kInvalidNode;
+  for (uint64_t i = 0; i < kChain; ++i) parent = doc.AddNode(parent, "a");
+  doc.Seal();
   const StreamIndex index(doc);
-  ExecOptions opts;
-  opts.max_emitted_rows = 1;
-  const StructuralJoinExecutor executor(index, opts);
-  const auto r = executor.ExecuteNaive(Parse(doc, "//article/author"));
+  const StructuralJoinExecutor executor(index);
+  const auto r = executor.ExecuteNaive(Parse(doc, "//a//a"));
   EXPECT_EQ(r.status().code(), util::StatusCode::kOutOfRange);
 }
 

@@ -18,7 +18,6 @@
 #include "core/serialize.h"
 #include "core/twig_xsketch.h"
 #include "data/figures.h"
-#include "obs/metrics.h"
 #include "service/sketch_catalog.h"
 #include "testing/faultpoints.h"
 #include "util/mmap_file.h"
@@ -211,9 +210,8 @@ TEST_F(FaultPointsTest, CatalogHotSwapLoadFailureKeepsServing) {
   ASSERT_TRUE(plan.ok());
   const double before = plan.value()->Execute();
 
-  auto& failures_metric = obs::MetricsRegistry::Default().GetCounter(
-      "xsketch_catalog_load_failures_total");
-  const uint64_t failures_before = failures_metric.value();
+  const uint64_t failures_before =
+      CounterSeries("xsketch_catalog_load_failures_total");
 
   // The replacement load fails at the mmap site, as if the new file were
   // unreadable at swap time.
@@ -228,7 +226,8 @@ TEST_F(FaultPointsTest, CatalogHotSwapLoadFailureKeepsServing) {
   EXPECT_EQ(get.value().generation(), gen1);
   // ...the failure is visible in catalog stats and the metrics registry...
   EXPECT_EQ(catalog.value()->stats().load_failures, 1u);
-  EXPECT_EQ(failures_metric.value(), failures_before + 1);
+  EXPECT_EQ(CounterSeries("xsketch_catalog_load_failures_total"),
+            failures_before + 1);
   EXPECT_EQ(catalog.value()->stats().sketches, 1u);
   // ...and the in-flight prepared program still executes, bit-identical.
   EXPECT_TRUE(BitEqual(plan.value()->Execute(), before));

@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "query/workload.h"
 #include "query/xpath_parser.h"
 #include "service/estimation_service.h"
+#include "test_env.h"
 
 namespace xsketch {
 namespace {
@@ -208,6 +211,87 @@ TEST(MetricsTest, DefaultRegistryCarriesSubsystemMetrics) {
   ASSERT_TRUE(q.ok());
   est.Estimate(q.value());
   EXPECT_EQ(queries.value(), before + 1);
+}
+
+// --- OwnedCounter ------------------------------------------------------------
+
+TEST(OwnedCounterTest, SeriesSumsLiveAndDestroyedOwners) {
+  constexpr std::string_view kName = "test_owned_sum_total";
+  auto a = std::make_unique<obs::OwnedCounter>(kName, "owned by a test");
+  obs::OwnedCounter b(kName);
+  a->Increment(3);
+  b.Increment(4);
+  EXPECT_EQ(a->value(), 3u);
+  EXPECT_EQ(b.value(), 4u);
+  EXPECT_EQ(CounterSeries(kName), 7u);
+
+  a.reset();  // the destroyed owner's final count stays in the series
+  EXPECT_EQ(CounterSeries(kName), 7u);
+  b.Increment();
+  EXPECT_EQ(b.value(), 5u);
+  EXPECT_EQ(CounterSeries(kName), 8u);
+  // One label-free series, whatever the number of owners.
+  EXPECT_NE(obs::MetricsRegistry::Default().ToPrometheusText().find(
+                "# HELP test_owned_sum_total owned by a test\n"
+                "# TYPE test_owned_sum_total counter\n"
+                "test_owned_sum_total 8\n"),
+            std::string::npos);
+}
+
+TEST(OwnedCounterTest, ResetZeroesLiveOwners) {
+  constexpr std::string_view kName = "test_owned_reset_total";
+  obs::OwnedCounter live(kName);
+  live.Increment(5);
+  {
+    obs::OwnedCounter gone(kName);
+    gone.Increment(2);
+  }
+  ASSERT_EQ(CounterSeries(kName), 7u);
+  obs::MetricsRegistry::Default().Reset();
+  EXPECT_EQ(live.value(), 0u);
+  EXPECT_EQ(CounterSeries(kName), 0u);
+  live.Increment();
+  EXPECT_EQ(CounterSeries(kName), 1u);
+}
+
+TEST(OwnedCounterDeathTest, NameOfTheOtherKindAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  obs::OwnedCounter owned("test_owned_kind_total");
+  EXPECT_DEATH(reg.GetCounter("test_owned_kind_total"), "different kind");
+  reg.GetCounter("test_plain_kind_total");
+  EXPECT_DEATH(obs::OwnedCounter("test_plain_kind_total"), "different kind");
+}
+
+TEST(OwnedCounterConcurrencyTest, SeriesNeverDecreasesWhileOwnersComeAndGo) {
+  constexpr std::string_view kName = "test_owned_churn_total";
+  constexpr int kThreads = 4;
+  constexpr int kOwners = 1000;
+  constexpr uint64_t kPerOwner = 10;
+  obs::OwnedCounter idle(kName);
+  const uint64_t base = CounterSeries(kName);
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    uint64_t last = base;
+    while (!stop.load(std::memory_order_acquire)) {
+      const uint64_t now = CounterSeries(kName);
+      EXPECT_GE(now, last);
+      last = now;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kThreads; ++w) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kOwners; ++i) {
+        obs::OwnedCounter c(kName);
+        for (uint64_t k = 0; k < kPerOwner; ++k) c.Increment();
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(CounterSeries(kName), base + kThreads * kOwners * kPerOwner);
 }
 
 // --- ExplainTrace ------------------------------------------------------------

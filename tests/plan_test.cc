@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -246,33 +247,59 @@ TEST_F(PlannerGoldenTest, DeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(a.value().ToString(), b.value().ToString());
 }
 
+// Cardinalities by twig size: `label` for single-node twigs (label
+// streams and single binding nodes), `larger` for every other sub-twig.
+class SizeCardinalities final : public CardinalityProvider {
+ public:
+  SizeCardinalities(double label, double larger)
+      : label_(label), larger_(larger) {}
+
+  util::Result<double> Cardinality(const TwigQuery& twig) const override {
+    return twig.size() == 1 ? label_ : larger_;
+  }
+  std::string_view name() const override { return "size"; }
+
+ private:
+  double label_;
+  double larger_;
+};
+
 TEST_F(PlannerGoldenTest, HolisticDecisionFollowsTheCostFactor) {
-  const TwigQuery q = Parse(doc_, "//site/category/item");
-  PlannerOptions popts;
-  popts.holistic_cost_factor = 1e-9;  // scans are nearly free
-  const auto cheap = PlanTwig(q, cards_, popts);
+  // Three binding nodes and an existential name: the holistic scan costs
+  // four label streams; the binary plan costs two single-node inputs,
+  // the existential-filtered category input, one intermediate and the
+  // result.
+  const TwigQuery q = Parse(doc_, "//site/category[name]/item");
+  const SizeCardinalities cheap_labels(1, 1000);  // 4 vs 3002 rows
+  const auto cheap = PlanTwig(q, cheap_labels);
   ASSERT_TRUE(cheap.ok());
+  EXPECT_EQ(cheap.value().holistic_cost, 4.0);
   EXPECT_TRUE(cheap.value().use_holistic);
   // The best binary order is still reported alongside the choice.
   EXPECT_EQ(cheap.value().order.size(), 2u);
 
-  popts.holistic_cost_factor = 1e9;  // scans are prohibitive
-  const auto costly = PlanTwig(q, cards_, popts);
+  const SizeCardinalities costly_labels(1000, 1);  // 4000 vs 2003 rows
+  const auto costly = PlanTwig(q, costly_labels);
   ASSERT_TRUE(costly.ok());
+  EXPECT_EQ(costly.value().holistic_cost, 4000.0);
   EXPECT_FALSE(costly.value().use_holistic);
 
+  PlannerOptions popts;
   popts.consider_holistic = false;
-  popts.holistic_cost_factor = 1e-9;
-  const auto off = PlanTwig(q, cards_, popts);
+  const auto off = PlanTwig(q, cheap_labels, popts);
   ASSERT_TRUE(off.ok());
   EXPECT_FALSE(off.value().use_holistic);
 }
 
 TEST_F(PlannerGoldenTest, WideTwigFallsBackToNaiveOrder) {
-  PlannerOptions popts;
-  popts.max_dp_binding_nodes = 2;  // force the fallback on a 3-node twig
-  const TwigQuery q = Parse(doc_, "//site/category/item");
-  const auto plan = PlanTwig(q, cards_, popts);
+  // 21 binding nodes, one more than the subset DP takes.
+  TwigQuery q;
+  const int site = q.AddNode(TwigQuery::kNoParent, Axis::kDescendant,
+                             doc_.LookupTag("site"));
+  for (int i = 0; i < 20; ++i) {
+    q.AddNode(site, Axis::kChild, doc_.LookupTag("category"));
+  }
+  const auto plan = PlanTwig(q, cards_);
   ASSERT_TRUE(plan.ok());
   EXPECT_FALSE(plan.value().optimized);
   EXPECT_EQ(plan.value().order, NaiveOrder(q));

@@ -32,10 +32,13 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 # (the planner's cardinality calls ride the service's LRU plan cache,
 # the same shared state compile_test covers, now under a second caller);
 # xsk3_test maps sketch files, hot-swaps catalog generations (each with
-# its own service and plan cache) and republishes a file while mapped.
+# its own service and plan cache) and republishes a file while mapped;
+# net_test feeds the HTTP, JSON and XSKB parsers truncated and hostile
+# payloads — the bytes strangers send, where ASan+UBSan catch an
+# off-by-one.
 TARGETS=(service_test estimator_test builder_test obs_test trace_test
          compile_test faultpoints_test daemon_test exec_test plan_test
-         xsk3_test differential_test)
+         xsk3_test net_test differential_test)
 MODES=("${@:-thread address}")
 
 for MODE in ${MODES[@]}; do

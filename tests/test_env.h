@@ -1,5 +1,5 @@
-// Per-process test environment helpers: scratch file paths and the
-// process thread count.
+// Per-process test environment helpers: scratch file paths, the process
+// thread count, and counter series values in the default registry.
 //
 // ctest runs every gtest case in its own process, several at a time. A
 // fixed name under TempDir() lets one process rewrite a file that another
@@ -17,6 +17,9 @@
 #include <filesystem>
 #include <iterator>
 #include <string>
+#include <string_view>
+
+#include "obs/metrics.h"
 
 namespace xsketch {
 
@@ -39,6 +42,16 @@ inline size_t ProcessThreadCount() {
   const std::filesystem::directory_iterator tasks("/proc/self/task");
   return static_cast<size_t>(std::distance(
       std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+// The value the default registry exposes for counter series `name` (0
+// before anything registers it): for an owned series, the sum over its
+// live and destroyed owners.
+inline uint64_t CounterSeries(std::string_view name) {
+  for (const auto& m : obs::MetricsRegistry::Default().Snapshot()) {
+    if (m.name == name) return m.counter_value;
+  }
+  return 0;
 }
 
 }  // namespace xsketch

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/frozen_io.h"
@@ -517,6 +518,50 @@ TEST(SketchCatalogTest, HotSwapPinsOldGeneration) {
   auto current = catalog.value()->Get("doc");
   ASSERT_TRUE(current.ok());
   EXPECT_EQ(current.value().generation(), h2.value().generation());
+}
+
+// Each catalog and each generation's service counts only its own
+// events; the registry series sum them over every owner, destroyed ones
+// included, so hot swaps never make a series go down.
+TEST(SketchCatalogTest, RegistrySeriesSumOwnersAndNeverDecrease) {
+  xml::Document doc = data::MakeBibliography();
+  const std::string path =
+      SaveSketchAs(core::TwigXSketch::Coarsest(doc), "series.xsk3");
+  constexpr std::string_view kHits = "xsketch_catalog_hits_total";
+  constexpr std::string_view kLookups =
+      "xsketch_service_plan_cache_lookups_total";
+
+  auto a = service::SketchCatalog::Create();
+  auto b = service::SketchCatalog::Create();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(a.value()->Put("bib", path).ok());
+  ASSERT_TRUE(b.value()->Put("bib", path).ok());
+  const uint64_t hits_before = CounterSeries(kHits);
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(a.value()->Get("bib").ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(b.value()->Get("bib").ok());
+  EXPECT_EQ(a.value()->stats().hits, 2u);
+  EXPECT_EQ(b.value()->stats().hits, 3u);
+  EXPECT_EQ(CounterSeries(kHits), hits_before + 5);
+
+  {
+    auto old_gen = a.value()->Get("bib");
+    ASSERT_TRUE(old_gen.ok());
+    ASSERT_TRUE(old_gen.value().Prepare(std::string("//book")).ok());
+    ASSERT_TRUE(old_gen.value().Prepare(std::string("//book")).ok());
+    EXPECT_EQ(old_gen.value().service().plan_cache_counters().lookups, 2u);
+  }
+  const uint64_t lookups = CounterSeries(kLookups);
+  // The re-Put drops the catalog's handle to the old generation, the
+  // last one, so its service is destroyed here.
+  auto new_gen = a.value()->Put("bib", path);
+  ASSERT_TRUE(new_gen.ok());
+  EXPECT_EQ(new_gen.value().service().plan_cache_counters().lookups, 0u);
+  EXPECT_EQ(CounterSeries(kLookups), lookups);
+
+  const uint64_t hits = CounterSeries(kHits);
+  a.value().reset();
+  EXPECT_EQ(CounterSeries(kHits), hits);
 }
 
 TEST(SketchCatalogTest, ByteBudgetEvictsLru) {
