@@ -261,7 +261,8 @@ int main(int argc, char** argv) {
     service::BatchStats stats;
     for (int r = 0; r < repeats; ++r) {
       // Fresh service per repetition: cold plan cache, fair comparison.
-      auto svc = service::EstimationService::Create(sketch, opts);
+      auto svc = service::EstimationService::Create(
+          std::make_shared<const core::FrozenSynopsis>(sketch), opts);
       if (!svc.ok()) {
         std::fprintf(stderr, "%s\n", svc.status().ToString().c_str());
         return 1;
@@ -324,7 +325,8 @@ int main(int argc, char** argv) {
     double best = 0.0;
     size_t mismatches = 0;
     for (int r = 0; r < repeats; ++r) {
-      auto svc = service::EstimationService::Create(sketch, opts);
+      auto svc = service::EstimationService::Create(
+          std::make_shared<const core::FrozenSynopsis>(sketch), opts);
       if (!svc.ok()) {
         std::fprintf(stderr, "%s\n", svc.status().ToString().c_str());
         return 1;

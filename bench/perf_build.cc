@@ -20,7 +20,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/serialize.h"
+#include "core/frozen.h"
+#include "core/frozen_io.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -66,7 +67,19 @@ int main(int argc, char** argv) {
                  steps.push_back(size);
                },
                &stats);
-    const std::string bytes = core::SaveSketch(sketch);
+    // Bit-identity fingerprint: the element partition plus the XSK3 image
+    // of the frozen synopsis.
+    std::string bytes;
+    for (xml::NodeId e = 0; e < data.doc.size(); ++e) {
+      const core::SynNodeId n = sketch.synopsis().NodeOf(e);
+      bytes.append(reinterpret_cast<const char*>(&n), sizeof(n));
+    }
+    auto image = core::SaveFrozen(core::FrozenSynopsis(sketch));
+    if (!image.ok()) {
+      std::fprintf(stderr, "%s\n", image.status().ToString().c_str());
+      return 1;
+    }
+    bytes += image.value();
     if (threads == 1) {
       baseline_bytes = bytes;
       baseline_steps = steps;

@@ -1,15 +1,8 @@
-// Cold-load latency: time-to-first-estimate for a sketch that is on disk
-// but not in memory, XSK2 vs XSK3.
-//
-// The XSK2 path is what a restarting service paid before the mmap-able
-// format existed: read the file, deserialize the partition and configs,
-// re-derive every histogram from the document (TwigXSketch::Restore),
-// freeze, compile, execute. The XSK3 path maps the frozen image and
-// validates it — no recomputation — then compiles and executes the same
-// probe query. Both timings start at the file open and end when the first
-// estimate is produced; the document itself is loaded once outside the
-// timed region (charging XML parsing to the XSK2 side would only inflate
-// its loss).
+// Cold-load latency: time-to-first-estimate for an XSK3 sketch that is on
+// disk but not in memory. The cold path maps the frozen image and
+// validates it (checksums, bounds, floating-point sweeps) — no
+// recomputation — then compiles and executes a probe query. The timing
+// starts at the file open and ends when the first estimate is produced.
 //
 // Every run cross-checks the mapped path bit-identical against the heap
 // path over the whole probe workload before any timing is reported.
@@ -17,8 +10,8 @@
 // Scale knobs: XS_BENCH_SCALE (default 1.0),
 // XS_BENCH_COLDLOAD_REPEATS (default 5, best-of).
 //
-// --smoke: assert-only pass on a tiny document (bit-identity + both cold
-// paths succeed), wired into ctest via bench_smoke.
+// --smoke: assert-only pass on a tiny document (bit-identity + the cold
+// path succeeds), wired into ctest via bench_smoke.
 
 #include <chrono>
 #include <cstdio>
@@ -34,7 +27,6 @@
 #include "core/compile.h"
 #include "core/frozen.h"
 #include "core/frozen_io.h"
-#include "core/serialize.h"
 #include "query/xpath_parser.h"
 
 namespace {
@@ -83,12 +75,7 @@ int main(int argc, char** argv) {
   }
 
   const core::TwigXSketch sketch = core::TwigXSketch::Coarsest(data.doc);
-  const std::string xsk2_path = TempPath(".xsk2");
   const std::string xsk3_path = TempPath(".xsk3");
-  if (util::Status st = core::SaveSketchToFile(sketch, xsk2_path); !st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
   {
     const core::FrozenSynopsis frozen(sketch);
     if (util::Status st = core::SaveFrozenToFile(frozen, xsk3_path);
@@ -97,10 +84,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const auto cleanup = [&] {
-    std::remove(xsk2_path.c_str());
-    std::remove(xsk3_path.c_str());
-  };
+  const auto cleanup = [&] { std::remove(xsk3_path.c_str()); };
 
   // Bit-identity gate before any timing: heap-frozen vs mapped estimates
   // over the full probe workload.
@@ -136,35 +120,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // XSK2 cold path: read + deserialize (re-derives histograms from the
-  // document) + freeze + compile + first execute.
-  double xsk2_best_ms = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const Clock::time_point start = Clock::now();
-    auto loaded = core::LoadSketchFromFile(xsk2_path, data.doc);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      cleanup();
-      return 1;
-    }
-    const auto frozen =
-        std::make_shared<const core::FrozenSynopsis>(loaded.value());
-    const core::TwigCompiler compiler(frozen);
-    auto plan = compiler.Compile(queries[0]);
-    if (!plan.ok()) {
-      cleanup();
-      return 1;
-    }
-    const double first = plan.value()->Execute();
-    const double ms = MsSince(start);
-    xsk2_best_ms = std::min(xsk2_best_ms, ms);
-    if (std::memcmp(&first, &expected[0], sizeof(double)) != 0) {
-      std::fprintf(stderr, "XSK2 cold path first-estimate mismatch\n");
-      cleanup();
-      return 1;
-    }
-  }
-
   // XSK3 cold path: mmap + validate + compile + first execute.
   double xsk3_best_ms = 1e300;
   for (int r = 0; r < repeats; ++r) {
@@ -191,28 +146,23 @@ int main(int argc, char** argv) {
     }
   }
 
-  size_t xsk2_bytes = 0, xsk3_bytes = 0;
-  for (auto [path, out] : {std::pair{&xsk2_path, &xsk2_bytes},
-                           std::pair{&xsk3_path, &xsk3_bytes}}) {
-    std::ifstream in(*path, std::ios::binary | std::ios::ate);
-    if (in) *out = static_cast<size_t>(in.tellg());
+  size_t xsk3_bytes = 0;
+  {
+    std::ifstream in(xsk3_path, std::ios::binary | std::ios::ate);
+    if (in) xsk3_bytes = static_cast<size_t>(in.tellg());
   }
   cleanup();
 
-  const double speedup = xsk2_best_ms / xsk3_best_ms;
   if (smoke) {
     std::printf("perf_coldload --smoke OK (%zu probe queries bit-identical, "
-                "xsk2 %.2f ms, xsk3 %.2f ms)\n",
-                queries.size(), xsk2_best_ms, xsk3_best_ms);
+                "xsk3 %.2f ms)\n",
+                queries.size(), xsk3_best_ms);
     return 0;
   }
   std::printf("# %s scale=%.2f, %zu synopsis nodes, best of %d cold loads\n",
               data.name.c_str(), bench::BenchScale(),
               static_cast<size_t>(sketch.synopsis().node_count()), repeats);
-  std::printf("coldload xsk2 %10.3f ms   %8.1f KB file\n", xsk2_best_ms,
-              xsk2_bytes / 1024.0);
-  std::printf("coldload xsk3 %10.3f ms   %8.1f KB file   %.1fx faster   "
-              "bit-identical\n",
-              xsk3_best_ms, xsk3_bytes / 1024.0, speedup);
+  std::printf("coldload xsk3 %10.3f ms   %8.1f KB file   bit-identical\n",
+              xsk3_best_ms, xsk3_bytes / 1024.0);
   return 0;
 }

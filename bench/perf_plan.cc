@@ -5,6 +5,7 @@
 // predicates) — and executes every chosen plan for real:
 //
 //   estimate   join orders picked from coarsest-XSKETCH cardinalities
+//              (compiled estimates through an EstimationService)
 //   exact      orders picked from ground-truth cardinalities (the oracle
 //              bound: with exact cards the subset DP is provably optimal
 //              over left-deep connected orders)
@@ -35,6 +36,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "bench_common.h"
@@ -44,6 +46,7 @@
 #include "plan/cardinality.h"
 #include "plan/planner.h"
 #include "query/evaluator.h"
+#include "service/estimation_service.h"
 
 namespace {
 
@@ -88,9 +91,16 @@ int main(int argc, char** argv) {
   const double max_ratio = bench::EnvDouble("XS_BENCH_PLAN_MAX_RATIO", 1.2);
 
   const core::TwigXSketch sketch = core::TwigXSketch::Coarsest(data.doc);
-  const core::Estimator estimator(sketch);
+  service::ServiceOptions sopts;
+  sopts.num_threads = 1;
+  auto service = service::EstimationService::Create(
+      std::make_shared<const core::FrozenSynopsis>(sketch), sopts);
+  if (!service.ok()) {
+    std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
+    return 1;
+  }
   const query::ExactEvaluator exact(data.doc);
-  const plan::EstimatorCardinalities est_cards(estimator);
+  const plan::ServiceCardinalities est_cards(*service.value());
   const plan::ExactCardinalities exact_cards(exact);
 
   const exec::StreamIndex index(data.doc);

@@ -1,7 +1,7 @@
 // xsketch_cli — command-line front end for the library.
 //
 //   xsketch_cli build   <doc> <sketch-file> [budget-kb] [threads]
-//                                          parallel build + save
+//                                          parallel build + save (XSK3)
 //   xsketch_cli estimate <doc> <sketch-file> <query>...   load + estimate
 //   xsketch_cli explain <doc> <sketch-file> <query>... [--json]
 //                                          per-query estimation trace
@@ -17,9 +17,6 @@
 //                       (--exact plans from ground-truth cardinalities
 //                       instead of XSKETCH estimates)
 //   xsketch_cli stats    <doc>                            document summary
-//   xsketch_cli convert <doc> <sketch.xsk2> <out.xsk3>
-//                       freeze an XSK2 sketch into the mmap-able XSK3
-//                       format (estimates bit-identical, cold loads O(1))
 //   xsketch_cli catalog <spec-file> [--budget-mb MB] [--query Q]
 //                       load a catalog of XSK3 sketches (spec lines:
 //                       "<doc-id> <path.xsk3>"), optionally estimate Q
@@ -37,16 +34,22 @@
 //
 // <doc> is either a path to an XML file or one of the built-in data set
 // names xmark / imdb / sprot (optionally with a scale suffix, e.g.
-// "xmark:0.1"). Queries are XPath expressions or for-clauses (quoted).
+// "xmark:0.1"). Sketch files are XSK3 images (core/frozen_io.h), opened
+// mmap'd; batch --audit and plan, which also run the queries on <doc>,
+// reject a sketch built from another document. Queries are XPath
+// expressions or for-clauses (quoted).
 // <workload-file> holds one query per line; blank lines and lines
 // starting with '#' are skipped.
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,7 +74,6 @@ int Usage() {
                "  xsketch_cli plan <doc> <query>... [--sketch FILE] "
                "[--exact]\n"
                "  xsketch_cli stats <doc>\n"
-               "  xsketch_cli convert <doc> <sketch.xsk2> <out.xsk3>\n"
                "  xsketch_cli catalog <spec-file> [--budget-mb MB] "
                "[--query Q]\n"
                "  xsketch_cli trace <doc> <query>... [--sketch FILE] "
@@ -156,11 +158,33 @@ bool LoadDoc(const std::string& spec, xml::Document* doc) {
 }
 
 util::Result<query::TwigQuery> ParseQuery(const std::string& text,
-                                          const xml::Document& doc) {
+                                          const util::StringInterner& tags) {
   if (text.find(" in ") != std::string::npos) {
-    return query::ParseForClause(text, doc.tags());
+    return query::ParseForClause(text, tags);
   }
-  return query::ParsePath(text, doc.tags());
+  return query::ParsePath(text, tags);
+}
+
+// The session a sketch-reading command runs on: the XSK3 file at `path`,
+// or the coarsest synopsis of `doc` when `path` is empty. With
+// `same_doc`, a sketch built from another document is rejected. Errors
+// are printed.
+std::optional<api::Session> OpenSession(
+    const std::string& path, const xml::Document& doc, bool same_doc,
+    const service::ServiceOptions& options = {}) {
+  auto session =
+      path.empty()
+          ? api::Session::Open(core::TwigXSketch::Coarsest(doc), options)
+          : api::Session::OpenMapped(path, options);
+  util::Status st = session.status();
+  if (st.ok() && same_doc) {
+    st = session.value().service().frozen().MatchesDocument(doc);
+  }
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return std::nullopt;
+  }
+  return std::move(session).value();
 }
 
 }  // namespace
@@ -306,25 +330,12 @@ int main(int argc, char** argv) {
     }
     if (query_args.empty()) return Usage();
 
-    core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
-    if (!sketch_file.empty()) {
-      auto loaded = core::LoadSketchFromFile(sketch_file, doc);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-        return 1;
-      }
-      sketch = std::move(loaded).value();
-    }
+    const auto session = OpenSession(sketch_file, doc, /*same_doc=*/false);
+    if (!session) return 1;
 
     obs::Tracer& tracer = obs::Tracer::Default();
     tracer.Reset();
     obs::FlightRecorder::Default().Reset();
-
-    auto svc = service::EstimationService::Create(std::move(sketch));
-    if (!svc.ok()) {
-      std::fprintf(stderr, "%s\n", svc.status().ToString().c_str());
-      return 1;
-    }
 
     // One trace for the whole run: parse spans attach under the root, the
     // service adopts the root for the batch (fan-out spans included).
@@ -334,7 +345,7 @@ int main(int argc, char** argv) {
     {
       obs::SpanScope root(ctx, obs::Stage::kQuery, query_args.size());
       for (const char* arg : query_args) {
-        auto twig = ParseQuery(arg, doc);
+        auto twig = ParseQuery(arg, session->service().tags());
         if (!twig.ok()) {
           std::fprintf(stderr, "%s: %s\n", arg,
                        twig.status().ToString().c_str());
@@ -342,7 +353,7 @@ int main(int argc, char** argv) {
         }
         queries.push_back(std::move(twig).value());
       }
-      results = svc.value()->EstimateBatch(queries);
+      results = session->ExecuteBatch(queries);
     }
 
     const std::vector<obs::Span> spans = tracer.SpansForTrace(ctx.trace_id);
@@ -427,34 +438,6 @@ int main(int argc, char** argv) {
     return rc;
   }
 
-  if (cmd == "convert") {
-    if (argc < 5) return Usage();
-    auto sketch = core::LoadSketchFromFile(argv[3], doc);
-    if (!sketch.ok()) {
-      std::fprintf(stderr, "%s\n", sketch.status().ToString().c_str());
-      return 1;
-    }
-    const core::FrozenSynopsis frozen(sketch.value());
-    if (util::Status st = core::SaveFrozenToFile(frozen, argv[4]);
-        !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    // Verify the conversion end to end: mmap the file back and check the
-    // image validates (checksums included) before reporting success.
-    core::FrozenLoadOptions verify;
-    verify.verify_checksums = true;
-    auto reloaded = core::LoadFrozenFile(argv[4], verify);
-    if (!reloaded.ok()) {
-      std::fprintf(stderr, "verification failed: %s\n",
-                   reloaded.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("converted %s -> %s (%.1f KB frozen, %u nodes)\n", argv[3],
-                argv[4], frozen.SizeBytes() / 1024.0, frozen.node_count());
-    return 0;
-  }
-
   if (cmd == "stats") {
     xml::DocumentStats stats = xml::ComputeStats(doc);
     std::printf("elements:      %zu\n", stats.element_count);
@@ -484,14 +467,16 @@ int main(int argc, char** argv) {
     core::BuildStats bstats;
     core::TwigXSketch sketch =
         core::XBuild(doc, opts).Build({}, &bstats);
-    util::Status st = core::SaveSketchToFile(sketch, argv[3]);
+    const core::FrozenSynopsis frozen(sketch);
+    util::Status st = core::SaveFrozenToFile(frozen, argv[3]);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("built %.1f KB synopsis (%zu nodes) -> %s\n",
+    std::printf("built %.1f KB synopsis (%zu nodes, %.1f KB frozen) -> %s\n",
                 sketch.SizeBytes() / 1024.0,
-                sketch.synopsis().node_count(), argv[3]);
+                sketch.synopsis().node_count(), frozen.SizeBytes() / 1024.0,
+                argv[3]);
     std::printf(
         "build: %d refinements on %d threads in %.0f ms; "
         "%lld candidates (%lld applicable, %lld scored)\n"
@@ -516,25 +501,17 @@ int main(int argc, char** argv) {
 
   if (cmd == "estimate") {
     if (argc < 5) return Usage();
-    auto sketch = core::LoadSketchFromFile(argv[3], doc);
-    if (!sketch.ok()) {
-      std::fprintf(stderr, "%s\n", sketch.status().ToString().c_str());
-      return 1;
-    }
-    auto session = api::Session::Open(std::move(sketch).value());
-    if (!session.ok()) {
-      std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
-      return 1;
-    }
+    const auto session = OpenSession(argv[3], doc, /*same_doc=*/false);
+    if (!session) return 1;
     int rc = 0;
     for (int i = 4; i < argc; ++i) {
-      auto twig = ParseQuery(argv[i], doc);
+      auto twig = ParseQuery(argv[i], session->service().tags());
       if (!twig.ok()) {
         std::fprintf(stderr, "%s\n", twig.status().ToString().c_str());
         rc = 1;
         continue;
       }
-      auto stats = session.value().Execute(twig.value());
+      auto stats = session->Execute(twig.value());
       if (!stats.ok()) {
         std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
         rc = 1;
@@ -547,11 +524,6 @@ int main(int argc, char** argv) {
 
   if (cmd == "explain") {
     if (argc < 5) return Usage();
-    auto sketch = core::LoadSketchFromFile(argv[3], doc);
-    if (!sketch.ok()) {
-      std::fprintf(stderr, "%s\n", sketch.status().ToString().c_str());
-      return 1;
-    }
     bool json = false;
     std::vector<const char*> query_args;
     for (int i = 4; i < argc; ++i) {
@@ -562,31 +534,27 @@ int main(int argc, char** argv) {
       }
     }
     if (query_args.empty()) return Usage();
-    auto session = api::Session::Open(std::move(sketch).value());
-    if (!session.ok()) {
-      std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
-      return 1;
-    }
+    const auto session = OpenSession(argv[3], doc, /*same_doc=*/false);
+    if (!session) return 1;
     int rc = 0;
     for (const char* arg : query_args) {
-      auto twig = ParseQuery(arg, doc);
+      auto twig = ParseQuery(arg, session->service().tags());
       if (!twig.ok()) {
         std::fprintf(stderr, "%s\n", twig.status().ToString().c_str());
         rc = 1;
         continue;
       }
       obs::ExplainTrace trace;
-      auto explained = session.value().Explain(twig.value(), &trace);
+      auto explained = session->Explain(twig.value(), &trace);
       if (!explained.ok()) {
         std::fprintf(stderr, "%s\n", explained.status().ToString().c_str());
         rc = 1;
         continue;
       }
       const core::EstimateStats stats = explained.value();
-      // The trace must reproduce the compiled path bit for bit: both the
-      // recorded root value and the re-derived sum/product tree.
-      const double plain =
-          session.value().Prepare(twig.value()).value().Execute();
+      // The trace must reproduce the untraced execution bit for bit: both
+      // the recorded root value and the re-derived sum/product tree.
+      const double plain = session->Prepare(twig.value()).value().Execute();
       if (trace.estimate() != plain || trace.Recompute() != plain) {
         std::fprintf(stderr,
                      "trace mismatch for '%s': Estimate() %.17g, trace "
@@ -612,11 +580,30 @@ int main(int argc, char** argv) {
 
   if (cmd == "batch") {
     if (argc < 5) return Usage();
-    auto sketch = core::LoadSketchFromFile(argv[3], doc);
-    if (!sketch.ok()) {
-      std::fprintf(stderr, "%s\n", sketch.status().ToString().c_str());
-      return 1;
+    service::ServiceOptions opts;
+    double audit_fraction = 0.0;
+    bool dump_metrics = false;
+    for (int i = 5; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--metrics") {
+        dump_metrics = true;
+      } else if (arg == "--audit") {
+        if (++i >= argc ||
+            !ParseDoubleArg(argv[i], "audit fraction", &audit_fraction) ||
+            audit_fraction > 1.0) {
+          std::fprintf(stderr,
+                       "--audit needs a fraction in (0, 1]\n");
+          return 2;
+        }
+      } else if (!ParseIntArg(argv[i], "thread count", 0,
+                              &opts.num_threads)) {
+        return 2;
+      }
     }
+    const auto session =
+        OpenSession(argv[3], doc, /*same_doc=*/audit_fraction > 0.0, opts);
+    if (!session) return 1;
+
     std::ifstream in(argv[4]);
     if (!in) {
       std::fprintf(stderr, "cannot open %s\n", argv[4]);
@@ -629,7 +616,7 @@ int main(int argc, char** argv) {
     while (std::getline(in, line)) {
       const size_t start = line.find_first_not_of(" \t\r");
       if (start == std::string::npos || line[start] == '#') continue;
-      auto twig = ParseQuery(line, doc);
+      auto twig = ParseQuery(line, session->service().tags());
       if (!twig.ok()) {
         std::fprintf(stderr, "skipping '%s': %s\n", line.c_str(),
                      twig.status().ToString().c_str());
@@ -640,33 +627,8 @@ int main(int argc, char** argv) {
       queries.push_back(std::move(twig).value());
     }
 
-    service::ServiceOptions opts;
-    bool dump_metrics = false;
-    for (int i = 5; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--metrics") {
-        dump_metrics = true;
-      } else if (arg == "--audit") {
-        if (++i >= argc ||
-            !ParseDoubleArg(argv[i], "audit fraction",
-                            &opts.audit_fraction) ||
-            opts.audit_fraction > 1.0) {
-          std::fprintf(stderr,
-                       "--audit needs a fraction in (0, 1]\n");
-          return 2;
-        }
-      } else if (!ParseIntArg(argv[i], "thread count", 0,
-                              &opts.num_threads)) {
-        return 2;
-      }
-    }
-    auto svc = api::Session::Open(std::move(sketch).value(), opts);
-    if (!svc.ok()) {
-      std::fprintf(stderr, "%s\n", svc.status().ToString().c_str());
-      return 1;
-    }
     service::BatchStats bstats;
-    auto results = svc.value().ExecuteBatch(queries, &bstats);
+    auto results = session->ExecuteBatch(queries, &bstats);
     for (size_t i = 0; i < results.size(); ++i) {
       if (results[i].ok()) {
         std::printf("%-50s %14.1f\n", texts[i].c_str(),
@@ -682,7 +644,7 @@ int main(int argc, char** argv) {
         "(%.0f q/s)\n"
         "latency p50 %.1f us, p95 %.1f us\n"
         "terms: covered %lld, uniformity %lld, conditioned %lld\n",
-        bstats.queries, bstats.failed, svc.value().service().num_threads(),
+        bstats.queries, bstats.failed, session->service().num_threads(),
         bstats.wall_ms,
         bstats.wall_ms > 0
             ? static_cast<double>(bstats.queries) / (bstats.wall_ms / 1e3)
@@ -699,12 +661,31 @@ int main(int argc, char** argv) {
             ? 0.0
             : 100.0 * static_cast<double>(bstats.plan_cache_hits) /
                   static_cast<double>(bstats.plan_cache_lookups));
-    if (bstats.audited > 0) {
-      std::printf(
-          "audit: %zu queries evaluated exactly; relative error mean "
-          "%.3f, max %.3f\n",
-          bstats.audited, bstats.audit_mean_rel_error,
-          bstats.audit_max_rel_error);
+    if (audit_fraction > 0.0) {
+      // Ground truth on an evenly spaced, index-determined sample (query
+      // i is sampled iff floor((i+1)f) > floor(if)): the paper's relative
+      // error |r - c| / max(s, c) with sanity bound s = 1 (§6.1).
+      const query::ExactEvaluator exact(doc);
+      size_t audited = 0;
+      double err_sum = 0.0, err_max = 0.0;
+      for (size_t i = 0; i < results.size(); ++i) {
+        const auto sampled = [audit_fraction](size_t k) {
+          return static_cast<size_t>(static_cast<double>(k) * audit_fraction);
+        };
+        if (!results[i].ok() || sampled(i + 1) == sampled(i)) continue;
+        const double r = results[i].value().estimate;
+        const double c = static_cast<double>(exact.Selectivity(queries[i]));
+        const double err = std::abs(r - c) / std::max(1.0, c);
+        ++audited;
+        err_sum += err;
+        err_max = std::max(err_max, err);
+      }
+      if (audited > 0) {
+        std::printf(
+            "audit: %zu queries evaluated exactly; relative error mean "
+            "%.3f, max %.3f\n",
+            audited, err_sum / static_cast<double>(audited), err_max);
+      }
     }
     if (dump_metrics) {
       std::printf("%s",
@@ -730,22 +711,13 @@ int main(int argc, char** argv) {
     }
     if (query_args.empty()) return Usage();
 
-    core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
-    if (!sketch_file.empty()) {
-      auto loaded = core::LoadSketchFromFile(sketch_file, doc);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-        return 1;
-      }
-      sketch = std::move(loaded).value();
-    }
-    const core::Estimator estimator(sketch);
+    service::ServiceOptions opts;
+    opts.num_threads = 1;
+    const auto session =
+        OpenSession(sketch_file, doc, /*same_doc=*/true, opts);
+    if (!session) return 1;
     const query::ExactEvaluator exact(doc);
-    const plan::EstimatorCardinalities est_cards(estimator);
     const plan::ExactCardinalities exact_cards(exact);
-    const plan::CardinalityProvider& cards =
-        use_exact ? static_cast<const plan::CardinalityProvider&>(exact_cards)
-                  : est_cards;
 
     const exec::StreamIndex index(doc);
     const exec::StructuralJoinExecutor executor(index);
@@ -753,14 +725,15 @@ int main(int argc, char** argv) {
 
     int rc = 0;
     for (const char* arg : query_args) {
-      auto twig = ParseQuery(arg, doc);
+      auto twig = ParseQuery(arg, session->service().tags());
       if (!twig.ok()) {
         std::fprintf(stderr, "%s: %s\n", arg,
                      twig.status().ToString().c_str());
         rc = 1;
         continue;
       }
-      auto planned = plan::PlanTwig(twig.value(), cards);
+      auto planned = use_exact ? plan::PlanTwig(twig.value(), exact_cards)
+                               : session->Plan(twig.value());
       if (!planned.ok()) {
         std::fprintf(stderr, "%s: %s\n", arg,
                      planned.status().ToString().c_str());
@@ -769,7 +742,7 @@ int main(int argc, char** argv) {
       }
       const plan::TwigPlan& p = planned.value();
       std::printf("%s\n  plan (%s cards): %s\n", arg,
-                  std::string(cards.name()).c_str(), p.ToString().c_str());
+                  use_exact ? "exact" : "estimated", p.ToString().c_str());
       std::printf(
           "  cost: input %.1f, binary intermediates %.1f, holistic scan "
           "%.1f, result estimate %.1f%s\n",
@@ -824,7 +797,7 @@ int main(int argc, char** argv) {
     query::ExactEvaluator eval(doc);
     int rc = 0;
     for (int i = 3; i < argc; ++i) {
-      auto twig = ParseQuery(argv[i], doc);
+      auto twig = ParseQuery(argv[i], doc.tags());
       if (!twig.ok()) {
         std::fprintf(stderr, "%s\n", twig.status().ToString().c_str());
         rc = 1;

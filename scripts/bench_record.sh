@@ -123,15 +123,11 @@ build_rows() {
 }
 
 # perf_coldload rows:
-#   coldload xsk2      1.364 ms       42.4 KB file
-#   coldload xsk3      0.020 ms       17.9 KB file   68.2x faster   bit-identical
+#   coldload xsk3      0.020 ms       17.9 KB file   bit-identical
 coldload_rows() {
   awk '
-    /^coldload xsk2/ {
-      printf "%s\n      {\"format\": \"xsk2\", \"ms\": %s, \"file_kb\": %s}", sep, $3, $5; sep=","
-    }
     /^coldload xsk3/ {
-      printf "%s\n      {\"format\": \"xsk3\", \"ms\": %s, \"file_kb\": %s, \"speedup\": %s}", sep, $3, $5, substr($8, 1, length($8)-1); sep=","
+      printf "%s\n      {\"format\": \"xsk3\", \"ms\": %s, \"file_kb\": %s}", sep, $3, $5; sep=","
     }
   ' "$1"
 }

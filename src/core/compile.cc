@@ -74,18 +74,161 @@ ExecScratch& ThreadLocalExecScratch() {
 // ---------------------------------------------------------------------------
 // Execution
 
+// The explain sink of Execute() and ExecuteWithStats(): every hook is
+// empty, so those instantiations are the executor with no explain code.
+class CompiledTwig::NoExplain {
+ public:
+  bool OpenQuery() { return false; }
+  void OpenExtent(const Root&) {}
+  void Value(SynNodeId, int, double) {}
+  void OpenSubtree(SynNodeId, int) {}
+  void AnnotateBuckets(uint32_t) {}
+  void AnnotateConditioned(int) {}
+  void OpenBucket(uint32_t, double, int) {}
+  void ZeroChild(SynNodeId, int) {}
+  void OpenChild(SynNodeId, const Child&) {}
+  void OpenStep(const Chain&, uint32_t, double, bool, const Child&) {}
+  void OpenChainHist(SynNodeId, int) {}
+  void Close(double) {}
+};
+
+// The explain sink of ExecuteWithTrace(): records the interpreter's tree
+// (Estimator::EstimateWithTrace) at the same points of the same
+// recursion, rendering its labels from the frozen tag table, synopsis
+// node ids and the program's query nodes.
+class CompiledTwig::ExplainRecorder {
+ public:
+  ExplainRecorder(const CompiledTwig& ct, obs::ExplainTrace* trace)
+      : ct_(ct), fz_(*ct.frozen_), trace_(trace) {}
+
+  // Opens the query and extent-sum nodes. A query with no root, or whose
+  // root tag is absent from the document, records nothing (false).
+  bool OpenQuery() {
+    if (ct_.twig_nodes_.empty()) return false;
+    const TwigNode& root = ct_.twig_nodes_[0];
+    if (root.tag == query::kUnknownTag) return false;
+    const std::string& tag = fz_.tags().Get(root.tag);
+    trace_->Open(obs::ExplainOp::kOpaque, "query",
+                 (root.axis == query::Axis::kChild ? "/" : "//") + tag, 0);
+    trace_->Open(obs::ExplainOp::kSum, "extents",
+                 "root alternatives of " + tag, 0);
+    return true;
+  }
+
+  void OpenExtent(const Root& root) {
+    if (!root.mul_count) {
+      trace_->Open(obs::ExplainOp::kProduct, "extent",
+                   "document root " + SynLabel(root.n), 0);
+      return;
+    }
+    trace_->Open(obs::ExplainOp::kProduct, "extent",
+                 "extent " + SynLabel(root.n), 0);
+    trace_->Leaf("n", "|" + SynLabel(root.n) + "|", root.count, 0);
+  }
+
+  void Value(SynNodeId n, int t, double fraction) {
+    trace_->Leaf("fv",
+                 "value " + ct_.twig_nodes_[t].pred->ToString() + " at " +
+                     SynLabel(n),
+                 fraction, t);
+  }
+
+  void OpenSubtree(SynNodeId n, int t) {
+    trace_->Open(obs::ExplainOp::kSum, "H", "subtree at " + SynLabel(n), t);
+  }
+
+  void AnnotateBuckets(uint32_t count) {
+    trace_->AnnotateBuckets(static_cast<int>(count));
+  }
+  void AnnotateConditioned(int dims) { trace_->AnnotateConditioned(dims); }
+
+  void OpenBucket(uint32_t i, double prob, int t) {
+    trace_->Open(obs::ExplainOp::kProduct, "bucket",
+                 "bucket " + std::to_string(i), t);
+    trace_->Leaf("p", "bucket probability", prob, t);
+  }
+
+  void ZeroChild(SynNodeId n, int t) {
+    if (ct_.twig_nodes_[t].tag == query::kUnknownTag) {
+      trace_->Leaf("child", "step to a tag absent from the document", 0.0, t);
+    } else {
+      trace_->Leaf("child", StepLabel(n, t) + " (no synopsis path)", 0.0, t);
+    }
+  }
+
+  // Alternatives add for output semantics; a branching predicate
+  // combines them as P[at least one embedding matches].
+  void OpenChild(SynNodeId n, const Child& child) {
+    trace_->Open(child.existential ? obs::ExplainOp::kExistential
+                                   : obs::ExplainOp::kSum,
+                 child.existential ? "fe" : "child",
+                 StepLabel(n, child.twig_node), child.twig_node);
+  }
+
+  // E (covered) or U (uniformity) step: the count leaf, then the open
+  // "sub" node that the subterm fills. Existential steps combine count
+  // and subterm with 1-(1-q)^c, which is not a plain product — kOpaque.
+  void OpenStep(const Chain& chain, uint32_t index, double count,
+                bool covered, const Child& child) {
+    const Step& st = ct_.steps_[chain.step_begin + index];
+    const int t = child.twig_node;
+    std::string label = SynLabel(st.from) + " -> " + SynLabel(st.to);
+    if (chain.len > 1) {
+      label += " (alternative " + SynLabel(st.from);
+      for (uint32_t k = 0; k < chain.len; ++k) {
+        label += "/" + SynLabel(ct_.steps_[chain.step_begin + k].to);
+      }
+      label += ", step " + std::to_string(index + 1) + ")";
+    }
+    trace_->Open(child.existential ? obs::ExplainOp::kOpaque
+                                   : obs::ExplainOp::kProduct,
+                 covered ? "E" : "U", label, t);
+    trace_->Leaf("c", covered ? "bucket fanout" : "average fanout", count,
+                 t);
+    trace_->Open(obs::ExplainOp::kProduct, "sub",
+                 index + 1 == chain.len ? "tail at " + SynLabel(st.to)
+                                        : "chain continuation",
+                 t);
+  }
+
+  void OpenChainHist(SynNodeId n, int t) {
+    trace_->Open(obs::ExplainOp::kSum, "H", "H(" + SynLabel(n) + ")", t);
+  }
+
+  void Close(double value) { trace_->Close(value); }
+
+ private:
+  std::string SynLabel(SynNodeId n) const {
+    return fz_.tags().Get(fz_.tag(n)) + "#" + std::to_string(n);
+  }
+
+  std::string StepLabel(SynNodeId n, int t) const {
+    const TwigNode& node = ct_.twig_nodes_[t];
+    return (node.axis == query::Axis::kChild ? "/" : "//") +
+           fz_.tags().Get(node.tag) + " from " + SynLabel(n);
+  }
+
+  const CompiledTwig& ct_;
+  const FrozenSynopsis& fz_;
+  obs::ExplainTrace* trace_;
+};
+
 // The interpreter. One instance per Execute call; mirrors the estimator's
 // EvalSubtree / ChildTerm / ChainTerm / StepFactor recursion over the flat
 // program, with the same operations in the same order (see estimator.cc —
-// every arithmetic expression here has a corresponding line there).
+// every arithmetic expression here has a corresponding line there). The
+// explain sink is called where the estimator records its trace.
+template <typename Sink>
 class CompiledTwig::Executor {
  public:
-  Executor(const CompiledTwig& ct, ExecScratch& sc, EstimateStats* stats)
+  Executor(const CompiledTwig& ct, ExecScratch& sc, EstimateStats* stats,
+           Sink sink)
       : ct_(ct),
         fz_(*ct.frozen_),
         sc_(sc),
         stats_(stats),
-        memo_enabled_(!ct.enumerate_all_ && stats == nullptr) {}
+        memo_enabled_(!ct.enumerate_all_ && stats == nullptr),
+        sink_(sink) {}
 
   double Run() {
     Metrics().queries->Increment();
@@ -100,18 +243,27 @@ class CompiledTwig::Executor {
         sc_.epoch = 1;
       }
     }
+    const bool traced = sink_.OpenQuery();
     double total = 0.0;
     for (const Root& root : ct_.roots_) {
-      const double vf = Vf(root.vf);
+      sink_.OpenExtent(root);
+      const double vf = TracedVf(root.vf, root.n, 0);
       const double sub = root.plan < 0 ? 1.0 : ExecPlan(root.plan);
       if (root.mul_count) {
         const double term = root.count * vf * sub;
+        sink_.Close(term);
         total += term;
       } else {
         total = vf * sub;
+        sink_.Close(total);
       }
     }
-    return std::max(0.0, total);
+    const double result = std::max(0.0, total);
+    if (traced) {
+      sink_.Close(total);
+      sink_.Close(result);
+    }
+    return result;
   }
 
  private:
@@ -177,6 +329,8 @@ class CompiledTwig::Executor {
       return PointView{fz_.static_probs(n), nullptr, nb, has_values};
     }
     if (stats_ != nullptr) ++stats_->conditioned_nodes;
+    sink_.AnnotateConditioned(n_given +
+                              static_cast<int>(given_overflow.size()));
 
     std::vector<double>& w = storage.probs;
     w.assign(fz_.fractions(n), fz_.fractions(n) + nb);
@@ -242,28 +396,36 @@ class CompiledTwig::Executor {
   }
 
   double General(const Plan& p) {
+    sink_.OpenSubtree(p.n, p.twig_node);
     RuntimePoints storage;
     const PointView pv =
         MaterializePoints(p.n, p.points_kind, p.has_values, storage);
+    if (p.points_kind != PointsKind::kUnit) sink_.AnnotateBuckets(pv.size);
     double result = 0.0;
     for (uint32_t i = 0; i < pv.size; ++i) {
       const uint32_t bucket = BucketOf(pv, i);
       const size_t ctx_mark = sc_.ctx.size();
       if (pv.has_values) PushForwardDims(p.n, bucket);
       double term = pv.probs[i];
+      sink_.OpenBucket(i, term, p.twig_node);
       for (uint32_t c = p.child_begin; c < p.child_end; ++c) {
         if (term == 0.0) break;
         term *= ChildTerm(ct_.children_[c], p.n, pv, bucket);
       }
+      sink_.Close(term);
       result += term;
       sc_.ctx.resize(ctx_mark);
     }
+    sink_.Close(result);
     return result;
   }
 
   double ChildTerm(const Child& child, SynNodeId n, const PointView& pv,
                    uint32_t bucket) {
-    if (child.kind == Child::Kind::kZero) return 0.0;
+    if (child.kind == Child::Kind::kZero) {
+      sink_.ZeroChild(n, child.twig_node);
+      return 0.0;
+    }
     if (stats_ != nullptr) {
       if (child.existential) ++stats_->existential_terms;
       if (child.descendant) {
@@ -271,6 +433,7 @@ class CompiledTwig::Executor {
             static_cast<int>(child.chain_end - child.chain_begin);
       }
     }
+    sink_.OpenChild(n, child);
     double sum = 0.0;        // output semantics
     double prob_none = 1.0;  // existential semantics
     for (uint32_t ci = child.chain_begin; ci < child.chain_end; ++ci) {
@@ -280,11 +443,10 @@ class CompiledTwig::Executor {
       if (s0.covered_dim >= 0 && pv.has_values) {
         if (stats_ != nullptr) ++stats_->covered_terms;
         factor = StepFactor(chain, 0, fz_.means(n, s0.covered_dim)[bucket],
-                            /*covered=*/true, child.existential);
+                            /*covered=*/true, child);
       } else {
         if (stats_ != nullptr) ++stats_->uniformity_terms;
-        factor = StepFactor(chain, 0, s0.avg, /*covered=*/false,
-                            child.existential);
+        factor = StepFactor(chain, 0, s0.avg, /*covered=*/false, child);
       }
       if (child.existential) {
         prob_none *= 1.0 - Clamp01(factor);
@@ -292,53 +454,70 @@ class CompiledTwig::Executor {
         sum += factor;
       }
     }
-    return child.existential ? 1.0 - prob_none : sum;
+    const double out = child.existential ? 1.0 - prob_none : sum;
+    sink_.Close(out);
+    return out;
   }
 
   double StepFactor(const Chain& chain, uint32_t index, double count,
-                    bool covered, bool existential) {
+                    bool covered, const Child& child) {
     const Step& st = ct_.steps_[chain.step_begin + index];
     const bool last = (index + 1 == chain.len);
+    sink_.OpenStep(chain, index, count, covered, child);
     double inner;
     if (last) {
-      const double vf = Vf(st.vf);
+      const double vf = TracedVf(st.vf, st.to, child.twig_node);
       inner = (vf == 0.0)
                   ? 0.0
                   : vf * (st.tail_plan < 0 ? 1.0 : ExecPlan(st.tail_plan));
     } else {
-      inner = ChainTerm(chain, index + 1, existential);
+      inner = ChainTerm(chain, index + 1, child);
     }
-    if (!existential) return count * inner;
-    const double q = Clamp01(inner);
-    if (covered) {
-      return count <= 0.0 ? 0.0 : 1.0 - std::pow(1.0 - q, count);
+    sink_.Close(inner);
+    double factor;
+    if (!child.existential) {
+      factor = count * inner;
+    } else {
+      const double q = Clamp01(inner);
+      if (covered) {
+        factor = count <= 0.0 ? 0.0 : 1.0 - std::pow(1.0 - q, count);
+      } else if (st.parent_zero) {
+        factor = 0.0;
+      } else {
+        factor =
+            st.exist_frac * (1.0 - std::pow(1.0 - q, st.avg_given_exist));
+      }
     }
-    if (st.parent_zero) return 0.0;
-    return st.exist_frac * (1.0 - std::pow(1.0 - q, st.avg_given_exist));
+    sink_.Close(factor);
+    return factor;
   }
 
-  double ChainTerm(const Chain& chain, uint32_t index, bool existential) {
+  double ChainTerm(const Chain& chain, uint32_t index, const Child& child) {
     const Step& st = ct_.steps_[chain.step_begin + index];
     if (st.covered_dim < 0) {
       if (stats_ != nullptr) ++stats_->uniformity_terms;
-      return StepFactor(chain, index, st.avg, /*covered=*/false,
-                        existential);
+      return StepFactor(chain, index, st.avg, /*covered=*/false, child);
     }
+    sink_.OpenChainHist(st.from, child.twig_node);
     RuntimePoints storage;
     const PointView pv =
         MaterializePoints(st.from, st.points_kind, true, storage);
+    sink_.AnnotateBuckets(pv.size);
     double result = 0.0;
     for (uint32_t i = 0; i < pv.size; ++i) {
       const uint32_t bucket = BucketOf(pv, i);
       const size_t ctx_mark = sc_.ctx.size();
       if (pv.has_values) PushForwardDims(st.from, bucket);
+      sink_.OpenBucket(i, pv.probs[i], child.twig_node);
       const double sf =
           StepFactor(chain, index, fz_.means(st.from, st.covered_dim)[bucket],
-                     /*covered=*/true, existential);
+                     /*covered=*/true, child);
       const double term = pv.probs[i] * sf;
+      sink_.Close(term);
       result += term;
       sc_.ctx.resize(ctx_mark);
     }
+    sink_.Close(result);
     return result;
   }
 
@@ -354,6 +533,14 @@ class CompiledTwig::Executor {
         return DynamicVf(site);
     }
     return 1.0;  // unreachable
+  }
+
+  // Vf plus the explain leaf of a predicated site (twig node t evaluated
+  // at synopsis node n).
+  double TracedVf(const VfSite& site, SynNodeId n, int t) {
+    const double fraction = Vf(site);
+    if (site.kind != VfSite::Kind::kOne) sink_.Value(n, t, fraction);
+    return fraction;
   }
 
   // Joint H^v(V, C...) conditioning, over the frozen value layer: the
@@ -405,7 +592,7 @@ class CompiledTwig::Executor {
                       : vf * (s0.tail_plan < 0 ? 1.0
                                                : ExecPlan(s0.tail_plan));
         } else {
-          inner = ChainTerm(chain, 1, /*existential=*/false);
+          inner = ChainTerm(chain, 1, child);
         }
         sc_.inners.push_back(inner);
       }
@@ -446,19 +633,19 @@ class CompiledTwig::Executor {
   ExecScratch& sc_;
   EstimateStats* stats_;
   const bool memo_enabled_;
+  [[no_unique_address]] Sink sink_;
 };
 
 double CompiledTwig::Execute(ExecScratch& scratch) const {
-  Executor ex(*this, scratch, nullptr);
+  Executor<NoExplain> ex(*this, scratch, nullptr, NoExplain());
   return ex.Run();
 }
 
-EstimateStats CompiledTwig::ExecuteWithStats(ExecScratch& scratch) const {
-  EstimateStats stats;
-  Executor ex(*this, scratch, &stats);
-  stats.estimate = ex.Run();
-  // Mirror the per-call term counts into the process-wide registry —
-  // the same counters the estimator's stats path feeds.
+namespace {
+
+// Mirrors one call's term counts into the process-wide registry — the
+// same counters the estimator's stats path feeds.
+void MirrorTermCounts(const EstimateStats& stats) {
   CompiledMetrics& m = Metrics();
   m.covered_terms->Increment(static_cast<uint64_t>(stats.covered_terms));
   m.uniformity_terms->Increment(
@@ -470,13 +657,35 @@ EstimateStats CompiledTwig::ExecuteWithStats(ExecScratch& scratch) const {
       static_cast<uint64_t>(stats.existential_terms));
   m.descendant_chains->Increment(
       static_cast<uint64_t>(stats.descendant_chains));
+}
+
+}  // namespace
+
+EstimateStats CompiledTwig::ExecuteWithStats(ExecScratch& scratch) const {
+  EstimateStats stats;
+  Executor<NoExplain> ex(*this, scratch, &stats, NoExplain());
+  stats.estimate = ex.Run();
+  MirrorTermCounts(stats);
+  return stats;
+}
+
+EstimateStats CompiledTwig::ExecuteWithTrace(obs::ExplainTrace* trace,
+                                             ExecScratch& scratch) const {
+  XS_CHECK(trace != nullptr);
+  trace->Clear();
+  EstimateStats stats;
+  Executor<ExplainRecorder> ex(*this, scratch, &stats,
+                               ExplainRecorder(*this, trace));
+  stats.estimate = ex.Run();
+  MirrorTermCounts(stats);
   return stats;
 }
 
 size_t CompiledTwig::SizeBytes() const {
   return plans_.size() * sizeof(Plan) + children_.size() * sizeof(Child) +
          chains_.size() * sizeof(Chain) + steps_.size() * sizeof(Step) +
-         roots_.size() * sizeof(Root);
+         roots_.size() * sizeof(Root) +
+         twig_nodes_.size() * sizeof(TwigNode);
 }
 
 // ---------------------------------------------------------------------------
@@ -550,6 +759,11 @@ class TwigCompiler::Builder {
   void Build() {
     out_->enumerate_all_ = fz_.has_backward_dims();
     out_->path_length_cap_ = compiler_.path_length_cap_;
+    out_->twig_nodes_.reserve(static_cast<size_t>(twig_.size()));
+    for (int t = 0; t < twig_.size(); ++t) {
+      const auto& node = twig_.node(t);
+      out_->twig_nodes_.push_back({node.tag, node.axis, node.pred});
+    }
     if (twig_.empty()) return;
     const auto& root = twig_.node(twig_.root());
     if (root.tag == query::kUnknownTag) return;
@@ -589,6 +803,7 @@ class TwigCompiler::Builder {
     CompiledTwig::Child::Kind kind = CompiledTwig::Child::Kind::kNormal;
     bool existential = false;
     bool descendant = false;
+    int32_t twig_node = -1;
     std::vector<ChainRec> chains;
   };
 
@@ -657,6 +872,7 @@ class TwigCompiler::Builder {
 
     CompiledTwig::Plan plan;
     plan.n = n;
+    plan.twig_node = t;
     if (any_covered || (!fz_.hist_empty(n) && fz_.has_backward_dims())) {
       plan.points_kind =
           fz_.has_bwd(n) ? PointsKind::kRuntime : PointsKind::kStatic;
@@ -674,6 +890,7 @@ class TwigCompiler::Builder {
       ChildRec rec;
       rec.existential = cnode.existential;
       rec.descendant = cnode.axis == query::Axis::kDescendant;
+      rec.twig_node = c;
       if (cnode.existential) vector_fast = false;
       if (cnode.tag == query::kUnknownTag) {
         rec.kind = CompiledTwig::Child::Kind::kZero;
@@ -743,6 +960,7 @@ class TwigCompiler::Builder {
       child.kind = rec.kind;
       child.existential = rec.existential;
       child.descendant = rec.descendant;
+      child.twig_node = rec.twig_node;
       child.chain_begin = static_cast<uint32_t>(out_->chains_.size());
       for (ChainRec& cr : rec.chains) {
         CompiledTwig::Chain ch;

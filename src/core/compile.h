@@ -32,6 +32,12 @@
 //                         memo is off and the per-point recursion is
 //                         replayed exactly, so counters that scale with
 //                         bucket count come out identical)
+//   ExecuteWithTrace() == EstimateWithTrace       (the stats-mode
+//                         recursion with an explain sink recording every
+//                         term; node for node the interpreter's tree)
+// There is one executor, templated on its explain sink: the untraced
+// modes instantiate it with a sink whose hooks are empty, so their loop
+// is the one the executor runs without any explain support.
 //
 // Concurrency: a CompiledTwig is immutable after Compile and may be
 // executed from any number of threads, each with its own ExecScratch
@@ -43,10 +49,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/estimator.h"
 #include "core/frozen.h"
+#include "obs/explain.h"
 #include "query/twig.h"
 #include "util/status.h"
 
@@ -89,6 +97,17 @@ class CompiledTwig {
   EstimateStats ExecuteWithStats(ExecScratch& scratch) const;
   EstimateStats ExecuteWithStats() const {
     return ExecuteWithStats(ThreadLocalExecScratch());
+  }
+
+  // Estimate, diagnostics and the full explain trace (`trace` must be
+  // non-null; it is cleared first). The tree equals
+  // Estimator::EstimateWithTrace's node for node — op, kind, label, twig
+  // node, value bits, buckets read and conditioned dims — with labels
+  // rendered from the frozen tag table and synopsis node ids.
+  EstimateStats ExecuteWithTrace(obs::ExplainTrace* trace,
+                                 ExecScratch& scratch) const;
+  EstimateStats ExecuteWithTrace(obs::ExplainTrace* trace) const {
+    return ExecuteWithTrace(trace, ThreadLocalExecScratch());
   }
 
   const FrozenSynopsis& frozen() const { return *frozen_; }
@@ -162,6 +181,7 @@ class CompiledTwig {
     Kind kind = Kind::kNormal;
     bool existential = false;
     bool descendant = false;  // '//' axis (descendant_chains stat)
+    int32_t twig_node = -1;   // the query child (explain labels)
     uint32_t chain_begin = 0, chain_end = 0;
   };
 
@@ -178,6 +198,7 @@ class CompiledTwig {
                                // per-bucket terms are then elementwise in
                                // the frozen columns and every reduction
                                // stays in reference order
+    int32_t twig_node = -1;    // t of the (t, n) key (explain labels)
     uint32_t child_begin = 0, child_end = 0;
   };
 
@@ -190,7 +211,17 @@ class CompiledTwig {
     int32_t plan = -1;
   };
 
+  // What explain labels need of one query node; indexed by twig node.
+  struct TwigNode {
+    xml::TagId tag = 0;
+    query::Axis axis = query::Axis::kChild;
+    std::optional<query::ValuePredicate> pred;
+  };
+
+  template <typename Sink>
   class Executor;
+  class NoExplain;
+  class ExplainRecorder;
 
   std::shared_ptr<const FrozenSynopsis> frozen_;
   std::vector<Plan> plans_;
@@ -198,6 +229,7 @@ class CompiledTwig {
   std::vector<Chain> chains_;
   std::vector<Step> steps_;
   std::vector<Root> roots_;
+  std::vector<TwigNode> twig_nodes_;
   bool enumerate_all_ = false;  // sketch has backward dims: memo off,
                                 // every histogram node enumerates
   int path_length_cap_ = 0;
@@ -208,8 +240,8 @@ class CompiledTwig {
 // across every query it compiles.
 class TwigCompiler {
  public:
-  // `frozen` must be non-null; options must Validate(). The frozen view's
-  // source sketch must outlive every CompiledTwig produced.
+  // `frozen` must be non-null; options must Validate(). Every
+  // CompiledTwig produced shares ownership of `frozen`.
   explicit TwigCompiler(std::shared_ptr<const FrozenSynopsis> frozen,
                         const EstimatorOptions& options = {});
 

@@ -369,6 +369,24 @@ double FrozenSynopsis::JointConditionalRangeFraction(
   return total > 0.0 ? inside / total : 0.0;
 }
 
+util::Status FrozenSynopsis::MatchesDocument(const xml::Document& doc) const {
+  if (doc_size_ != doc.size()) {
+    return util::Status::InvalidArgument(
+        "document element count does not match the sketch");
+  }
+  if (tags_.size() != doc.tag_count()) {
+    return util::Status::InvalidArgument(
+        "document tag table size does not match the sketch");
+  }
+  for (uint32_t t = 0; t < tags_.size(); ++t) {
+    if (tags_.Get(t) != doc.tags().Get(t)) {
+      return util::Status::InvalidArgument(
+          "document tag table does not match the sketch");
+    }
+  }
+  return util::Status::OK();
+}
+
 size_t FrozenSynopsis::SizeBytes() const {
   return tag_.size_bytes() + count_.size_bytes() + edge_begin_.size_bytes() +
          edges_.size_bytes() + hist_dims_.size_bytes() +

@@ -56,6 +56,7 @@
 
 #include "core/twig_xsketch.h"
 #include "util/check.h"
+#include "util/status.h"
 #include "util/string_interner.h"
 
 namespace xsketch::core {
@@ -83,6 +84,11 @@ class FrozenSynopsis {
   // The source document's tag table, frozen in: ids match the document's
   // TagIds, so queries parsed against this interner bind to the same tags.
   const util::StringInterner& tags() const { return tags_; }
+
+  // OK iff this synopsis summarizes `doc`: the same element count and the
+  // same tag table. Callers that run a sketch's queries on a document too
+  // (exact audits, join execution) check this first.
+  util::Status MatchesDocument(const xml::Document& doc) const;
 
   struct Edge {
     SynNodeId child = kInvalidSynNode;

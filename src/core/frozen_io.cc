@@ -40,8 +40,7 @@ class Xsk3Codec {
   static util::Result<std::string> Save(const FrozenSynopsis& fz);
   static util::Result<std::shared_ptr<const FrozenSynopsis>> Load(
       const uint8_t* data, size_t size,
-      std::shared_ptr<const void> keepalive,
-      const FrozenLoadOptions& options);
+      std::shared_ptr<const void> keepalive);
 
  private:
   struct SectionData {
@@ -159,12 +158,10 @@ util::Result<std::string> Xsk3Codec::Save(const FrozenSynopsis& fz) {
 }
 
 util::Result<std::shared_ptr<const FrozenSynopsis>> Xsk3Codec::Load(
-    const uint8_t* data, size_t size, std::shared_ptr<const void> keepalive,
-    const FrozenLoadOptions& options) {
+    const uint8_t* data, size_t size, std::shared_ptr<const void> keepalive) {
   if constexpr (!kLittleEndianHost) {
     return util::Status::InvalidArgument(
-        "XSK3 mmap loading requires a little-endian host "
-        "(rebuild the sketch from XSK2 instead)");
+        "XSK3 loading requires a little-endian host");
   }
   const size_t meta_bytes =
       sizeof(Xsk3Header) + kXsk3SectionCount * sizeof(Xsk3Section);
@@ -256,12 +253,12 @@ util::Result<std::shared_ptr<const FrozenSynopsis>> Xsk3Codec::Load(
   if (expect_off != size) {
     return Bad("trailing bytes after the last section");
   }
-  if (options.verify_checksums) {
-    for (const Xsk3Section& s : secs) {
-      if (Crc32(data + s.offset, s.bytes) != s.crc) {
-        return Bad("section " + std::to_string(s.id) +
-                   " checksum mismatch");
-      }
+  // Sketch bytes from disk are untrusted: every payload's CRC is checked.
+  // The sweeps below touch every double and index section anyway, so
+  // this is one more pass over pages the load pages in regardless.
+  for (const Xsk3Section& s : secs) {
+    if (Crc32(data + s.offset, s.bytes) != s.crc) {
+      return Bad("section " + std::to_string(s.id) + " checksum mismatch");
     }
   }
 
@@ -600,27 +597,25 @@ util::Status SaveFrozenToFile(const FrozenSynopsis& frozen,
 }
 
 util::Result<std::shared_ptr<const FrozenSynopsis>> LoadFrozen(
-    std::shared_ptr<const util::MappedFile> file,
-    const FrozenLoadOptions& options) {
+    std::shared_ptr<const util::MappedFile> file) {
   if (file == nullptr) {
     return util::Status::InvalidArgument("LoadFrozen: null mapping");
   }
   const uint8_t* data = file->data();
   const size_t size = file->size();
   return Xsk3Codec::Load(data, size,
-                         std::shared_ptr<const void>(std::move(file)),
-                         options);
+                         std::shared_ptr<const void>(std::move(file)));
 }
 
 util::Result<std::shared_ptr<const FrozenSynopsis>> LoadFrozenFile(
-    const std::string& path, const FrozenLoadOptions& options) {
+    const std::string& path) {
   auto mapped = util::MappedFile::Open(path);
   if (!mapped.ok()) return mapped.status();
-  return LoadFrozen(std::move(mapped).value(), options);
+  return LoadFrozen(std::move(mapped).value());
 }
 
 util::Result<std::shared_ptr<const FrozenSynopsis>> LoadFrozenFromBytes(
-    std::string_view bytes, const FrozenLoadOptions& options) {
+    std::string_view bytes) {
   // Copy into 8-byte-aligned storage (std::string gives no alignment
   // guarantee; the image contains doubles and 64-bit words).
   auto buf =
@@ -630,8 +625,7 @@ util::Result<std::shared_ptr<const FrozenSynopsis>> LoadFrozenFromBytes(
   }
   const uint8_t* data = reinterpret_cast<const uint8_t*>(buf->data());
   return Xsk3Codec::Load(data, bytes.size(),
-                         std::shared_ptr<const void>(std::move(buf)),
-                         options);
+                         std::shared_ptr<const void>(std::move(buf)));
 }
 
 }  // namespace xsketch::core

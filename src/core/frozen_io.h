@@ -4,7 +4,8 @@
 // SaveFrozen serializes a FrozenSynopsis into the XSK3 byte layout
 // (core/xsk3_format.h). LoadFrozen attaches a FrozenSynopsis directly to
 // a memory-mapped (or in-memory) image: O(1) pointer fix-up per section,
-// after a validation pass that trusts nothing on disk — every section
+// after a validation pass that trusts nothing on disk — the header and
+// every section payload must match their CRC32, every section
 // offset/size is bounds-checked against the file length, every CSR array
 // is checked for monotonicity and consistent totals, and every index the
 // executor dereferences (edge targets, dimension indices, tag-index
@@ -36,14 +37,6 @@
 
 namespace xsketch::core {
 
-struct FrozenLoadOptions {
-  // Verify the CRC32 of every section payload (the header checksum is
-  // always verified). Off by default: it forces a full read of the file
-  // at load time, which defeats lazy mmap paging; turn it on for files
-  // from untrusted storage.
-  bool verify_checksums = false;
-};
-
 // Serializes the frozen arrays into an XSK3 image. Fails only on a
 // big-endian host.
 util::Result<std::string> SaveFrozen(const FrozenSynopsis& frozen);
@@ -58,18 +51,17 @@ util::Status SaveFrozenToFile(const FrozenSynopsis& frozen,
 // holds the mapping alive; compiled programs built over it keep it pinned
 // via their shared_ptr chain.
 util::Result<std::shared_ptr<const FrozenSynopsis>> LoadFrozen(
-    std::shared_ptr<const util::MappedFile> file,
-    const FrozenLoadOptions& options = {});
+    std::shared_ptr<const util::MappedFile> file);
 
 // mmap(path) + LoadFrozen.
 util::Result<std::shared_ptr<const FrozenSynopsis>> LoadFrozenFile(
-    const std::string& path, const FrozenLoadOptions& options = {});
+    const std::string& path);
 
 // Loads from an in-memory image (copied into aligned storage the returned
 // synopsis owns). For tests, fuzzing, and callers that already read the
 // bytes.
 util::Result<std::shared_ptr<const FrozenSynopsis>> LoadFrozenFromBytes(
-    std::string_view bytes, const FrozenLoadOptions& options = {});
+    std::string_view bytes);
 
 }  // namespace xsketch::core
 

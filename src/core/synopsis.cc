@@ -31,36 +31,6 @@ Synopsis Synopsis::LabelSplit(const xml::Document& doc) {
   return s;
 }
 
-Synopsis Synopsis::FromPartition(const xml::Document& doc,
-                                 std::vector<SynNodeId> partition,
-                                 size_t node_count) {
-  XS_CHECK_MSG(doc.sealed(), "synopsis requires a sealed document");
-  XS_CHECK(partition.size() == doc.size());
-  Synopsis s;
-  s.doc_ = &doc;
-  s.partition_ = std::move(partition);
-  s.nodes_.resize(node_count);
-  s.extents_.resize(node_count);
-  for (xml::NodeId e = 0; e < doc.size(); ++e) {
-    const SynNodeId n = s.partition_[e];
-    XS_CHECK_MSG(n < node_count, "partition id out of range");
-    if (s.extents_[n].empty()) {
-      s.nodes_[n].tag = doc.tag(e);
-    } else {
-      XS_CHECK_MSG(s.nodes_[n].tag == doc.tag(e),
-                   "partition mixes tags within one node");
-    }
-    s.extents_[n].push_back(e);
-  }
-  for (size_t n = 0; n < node_count; ++n) {
-    XS_CHECK_MSG(!s.extents_[n].empty(), "empty synopsis node in partition");
-    s.nodes_[n].count = s.extents_[n].size();
-  }
-  s.RebuildEdges();
-  s.RebuildTagIndex();
-  return s;
-}
-
 void Synopsis::RebuildEdges() {
   for (SynNode& n : nodes_) {
     n.children.clear();

@@ -46,14 +46,6 @@ class Synopsis {
   // The document must be sealed and outlive the synopsis.
   static Synopsis LabelSplit(const xml::Document& doc);
 
-  // Rebuilds a synopsis from an explicit element partition (element ->
-  // synopsis node id, dense in [0, node_count)). Every node's extent must
-  // be non-empty and tag-uniform; violations abort via XS_CHECK. Used by
-  // persistence (core/serialize.h).
-  static Synopsis FromPartition(const xml::Document& doc,
-                                std::vector<SynNodeId> partition,
-                                size_t node_count);
-
   // Copyable: XBUILD evaluates candidate refinements on copies.
   Synopsis(const Synopsis&) = default;
   Synopsis& operator=(const Synopsis&) = default;

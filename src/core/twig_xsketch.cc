@@ -77,90 +77,6 @@ TwigXSketch TwigXSketch::Coarsest(const xml::Document& doc,
   return sketch;
 }
 
-util::Result<TwigXSketch> TwigXSketch::Restore(
-    const xml::Document& doc, std::vector<SynNodeId> partition,
-    std::vector<NodeConfig> configs) {
-  if (partition.size() != doc.size()) {
-    return util::Status::InvalidArgument(
-        "partition size does not match document");
-  }
-  const size_t node_count = configs.size();
-  for (SynNodeId n : partition) {
-    if (n >= node_count) {
-      return util::Status::InvalidArgument("partition id out of range");
-    }
-  }
-  // Tag-uniformity and non-emptiness must hold before handing the
-  // partition to the synopsis (which enforces them with aborts).
-  {
-    std::vector<xml::TagId> node_tag(node_count, xml::TagId(-1));
-    std::vector<bool> seen(node_count, false);
-    for (xml::NodeId e = 0; e < doc.size(); ++e) {
-      const SynNodeId n = partition[e];
-      if (!seen[n]) {
-        seen[n] = true;
-        node_tag[n] = doc.tag(e);
-      } else if (node_tag[n] != doc.tag(e)) {
-        return util::Status::InvalidArgument(
-            "partition mixes tags within one node (wrong document?)");
-      }
-    }
-    for (size_t n = 0; n < node_count; ++n) {
-      if (!seen[n]) {
-        return util::Status::InvalidArgument("empty synopsis node");
-      }
-    }
-  }
-  TwigXSketch sketch(
-      Synopsis::FromPartition(doc, std::move(partition), node_count));
-  sketch.summaries_.resize(node_count);
-  for (SynNodeId n = 0; n < node_count; ++n) {
-    NodeSummary& s = sketch.summaries_[n];
-    const NodeConfig& cfg = configs[n];
-    s.bucket_budget = cfg.bucket_budget;
-    s.value_bucket_budget = cfg.value_bucket_budget;
-    // Node ids inside CountRefs come straight from the (possibly
-    // untrusted) serialized bytes — range-check them before FindEdge
-    // indexes the synopsis' edge lists.
-    for (const CountRef& ref : cfg.scope) {
-      if (ref.from >= node_count || ref.to >= node_count ||
-          sketch.synopsis_.FindEdge(ref.from, ref.to) == nullptr ||
-          (ref.forward && ref.from != n) ||
-          (!ref.forward && !sketch.BackwardRefLegal(n, ref))) {
-        return util::Status::InvalidArgument(
-            "saved scope references a nonexistent or illegal edge");
-      }
-      s.scope.push_back(ref);
-    }
-    for (const CountRef& ref : cfg.value_scope) {
-      if (ref.from >= node_count || ref.to >= node_count ||
-          sketch.synopsis_.FindEdge(ref.from, ref.to) == nullptr) {
-        return util::Status::InvalidArgument(
-            "saved value scope references a nonexistent edge");
-      }
-      s.value_scope.push_back(ref);
-    }
-    sketch.RebuildNodeHistogram(n);
-    sketch.RebuildValueHistogram(n);
-    if (!s.value_scope.empty()) sketch.RebuildJointValueHistogram(n);
-  }
-  return sketch;
-}
-
-std::vector<TwigXSketch::NodeConfig> TwigXSketch::ExportConfigs() const {
-  std::vector<NodeConfig> configs;
-  configs.reserve(summaries_.size());
-  for (const NodeSummary& s : summaries_) {
-    NodeConfig cfg;
-    cfg.bucket_budget = s.bucket_budget;
-    cfg.value_bucket_budget = s.value_bucket_budget;
-    cfg.scope = s.scope;
-    cfg.value_scope = s.value_scope;
-    configs.push_back(std::move(cfg));
-  }
-  return configs;
-}
-
 bool TwigXSketch::HasBackwardDims() const {
   for (const NodeSummary& s : summaries_) {
     for (const CountRef& r : s.scope) {

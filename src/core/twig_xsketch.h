@@ -84,26 +84,6 @@ class TwigXSketch {
   static TwigXSketch Coarsest(const xml::Document& doc,
                               const CoarsestOptions& options = {});
 
-  // Per-node configuration discovered by XBUILD; everything else (extents,
-  // edges, histogram contents) is re-derivable from the document. Used by
-  // persistence (core/serialize.h).
-  struct NodeConfig {
-    int bucket_budget = 0;
-    int value_bucket_budget = 0;
-    std::vector<CountRef> scope;
-    std::vector<CountRef> value_scope;
-  };
-
-  // Rebuilds a sketch from an explicit partition and per-node configs;
-  // configs.size() defines the node count. Scope entries referencing
-  // edges that do not exist in the rebuilt synopsis are rejected.
-  static util::Result<TwigXSketch> Restore(
-      const xml::Document& doc, std::vector<SynNodeId> partition,
-      std::vector<NodeConfig> configs);
-
-  // The current per-node configurations (inverse of Restore).
-  std::vector<NodeConfig> ExportConfigs() const;
-
   // Copyable (XBUILD scores candidate refinements on copies).
   TwigXSketch(const TwigXSketch&) = default;
   TwigXSketch& operator=(const TwigXSketch&) = default;

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "net/json.h"
+#include "obs/explain.h"
 #include "query/xpath_parser.h"
 #include "testing/faultpoints.h"
 
@@ -82,6 +83,36 @@ net::NackCode NackCodeFor(const util::Status& s) {
 net::ServerResponse ErrorResponse(const util::Status& s, bool binary) {
   if (binary) return BinaryNack(NackCodeFor(s), s.message());
   return HttpError(HttpStatusFor(s), s.message());
+}
+
+// An HTTP deadline is an integer number of milliseconds in
+// [0, kMaxDeadlineMs], the domain of the XSKB frame's u32 field. Larger
+// values would overflow the clock arithmetic in DeadlineFrom.
+constexpr uint64_t kMaxDeadlineMs = 0xFFFFFFFFu;
+
+// The "deadline_ms" JSON member; false unless an in-range integer.
+bool ParseJsonDeadline(const net::JsonValue& v, uint64_t* ms) {
+  if (v.kind() != net::JsonValue::Kind::kNumber) return false;
+  const double d = v.number_value();
+  if (!(d >= 0.0 && d <= static_cast<double>(kMaxDeadlineMs)) ||
+      d != static_cast<double>(static_cast<uint64_t>(d))) {
+    return false;
+  }
+  *ms = static_cast<uint64_t>(d);
+  return true;
+}
+
+// The X-Deadline-Ms header; false unless all digits and in range.
+bool ParseHeaderDeadline(const std::string& text, uint64_t* ms) {
+  if (text.empty()) return false;
+  uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<uint64_t>(c - '0');
+    if (v > kMaxDeadlineMs) return false;
+  }
+  *ms = v;
+  return true;
 }
 
 }  // namespace
@@ -269,14 +300,22 @@ void Daemon::DispatchHttp(net::HttpRequest&& request,
     return;
   }
 
-  // Deadline: JSON field beats the X-Deadline-Ms header.
+  // Deadline: a non-zero JSON field beats the X-Deadline-Ms header.
   uint64_t deadline_ms = 0;
-  if (const double* v = body.FindNumber("deadline_ms");
-      v != nullptr && *v > 0) {
-    deadline_ms = static_cast<uint64_t>(*v);
-  } else if (const std::string* h = request.Header("x-deadline-ms");
-             h != nullptr) {
-    deadline_ms = static_cast<uint64_t>(std::strtoull(h->c_str(), nullptr, 10));
+  if (const net::JsonValue* v = body.Find("deadline_ms");
+      v != nullptr && !ParseJsonDeadline(*v, &deadline_ms)) {
+    metrics_.errors.Increment();
+    responder.Send(HttpError(
+        400, "'deadline_ms' must be an integer in [0, 4294967295]"));
+    return;
+  }
+  if (const std::string* h = request.Header("x-deadline-ms");
+      deadline_ms == 0 && h != nullptr &&
+      !ParseHeaderDeadline(*h, &deadline_ms)) {
+    metrics_.errors.Increment();
+    responder.Send(HttpError(
+        400, "X-Deadline-Ms must be an integer in [0, 4294967295]"));
+    return;
   }
   const std::optional<Clock::time_point> deadline = DeadlineFrom(deadline_ms);
 
@@ -574,7 +613,8 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
     responder.Send(ErrorResponse(plan.status(), /*binary=*/false));
     return;
   }
-  const core::EstimateStats stats = plan.value()->ExecuteWithStats();
+  obs::ExplainTrace trace;
+  const core::EstimateStats stats = plan.value()->ExecuteWithTrace(&trace);
 
   std::string body = "{\"estimate\":";
   net::AppendJsonNumber(&body, stats.estimate);
@@ -597,7 +637,8 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
   body += ",\"path_length_cap\":" +
           std::to_string(plan.value()->path_length_cap());
   body += ",\"size_bytes\":" + std::to_string(plan.value()->SizeBytes());
-  body += "}}\n";
+  body += "},\"trace\":" + trace.ToJson();
+  body += "}\n";
   net::ServerResponse resp;
   resp.body = std::move(body);
   responder.Send(std::move(resp));

@@ -9,18 +9,20 @@
 // binary NACK kOverload — never queued into memory, never silently
 // dropped. Deadlines (X-Deadline-Ms header, JSON "deadline_ms", or the
 // binary frame field; falling back to DaemonOptions::default_deadline_ms)
-// become an absolute steady-clock cutoff at admission; requests that
-// expire in the queue answer 504 without touching a sketch, and batch
-// deadlines propagate into EstimateBatch's chunk boundaries so a
-// too-slow batch returns partial results plus an explicit
-// deadline_exceeded marker.
+// are integer milliseconds in [0, 2^32-1] — an HTTP deadline outside that
+// domain answers 400 — and become an absolute steady-clock cutoff at
+// admission; requests that expire in the queue answer 504 without
+// touching a sketch, and batch deadlines propagate into EstimateBatch's
+// chunk boundaries so a too-slow batch returns partial results plus an
+// explicit deadline_exceeded marker.
 //
 // HTTP endpoints (JSON in/out):
 //   GET  /healthz            -> {"status":"ok"|"draining", ...}
 //   GET  /metrics            -> Prometheus text exposition
 //   POST /estimate  {"doc","query","deadline_ms"?}
 //   POST /batch     {"doc","queries":[...],"deadline_ms"?}
-//   POST /explain   {"doc","query"}   (estimate + term counters + plan shape)
+//   POST /explain   {"doc","query"}   (estimate, term counters, plan shape
+//                                      and the full E/U/D explain tree)
 // Binary endpoints (XSKB framing, net/wire.h): kEstimate, kBatch, kPing.
 //
 // Shutdown: BeginDrain (SIGTERM in the binary) stops accepting, lets

@@ -7,7 +7,7 @@ namespace xsketch::net {
 namespace {
 
 // Little-endian append/read helpers. memcpy keeps them alignment-safe;
-// the repo targets little-endian hosts (XSK2/XSK3 made the same call).
+// the repo targets little-endian hosts (XSK3 made the same call).
 template <typename T>
 void Put(std::string* out, T v) {
   char buf[sizeof(T)];

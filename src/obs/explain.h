@@ -10,13 +10,16 @@
 // expansion alternative with its contribution.
 //
 // The trace is a passive observer: every recorded value is the exact
-// double the estimator computed, captured in evaluation order, so the
-// trace total reproduces Estimator::Estimate() bit for bit and
-// Recompute() can audit each sum/product node against its children.
+// double the estimation computed, captured in evaluation order, so the
+// trace total reproduces the estimate bit for bit and Recompute() can
+// audit each sum/product node against its children.
 //
-// The recording interface (Open/Close/Leaf) is driven by core::Estimator;
-// the type itself depends only on the standard library so obs/ stays a
-// leaf layer.
+// The recording interface (Open/Close/Leaf) is driven by compiled
+// programs (core::CompiledTwig::ExecuteWithTrace — what Session::Explain
+// and the daemon's /explain serve) and by the reference interpreter
+// (core::Estimator::EstimateWithTrace, the test oracle); both record the
+// same tree node for node. The type itself depends only on the standard
+// library so obs/ stays a leaf layer.
 
 #ifndef XSKETCH_OBS_EXPLAIN_H_
 #define XSKETCH_OBS_EXPLAIN_H_
@@ -75,7 +78,7 @@ class ExplainTrace {
   // buckets, conditioned, children} objects.
   std::string ToJson() const;
 
-  // --- Recording interface (driven by core::Estimator) -------------------
+  // --- Recording interface (driven by the estimation executors) ---------
   void Clear();
   // Starts a node under the innermost open node (or as the root).
   void Open(ExplainOp op, std::string kind, std::string label,

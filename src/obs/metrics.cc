@@ -323,8 +323,4 @@ std::vector<double> DurationBucketsMs() {
           104857.6};
 }
 
-std::vector<double> RelativeErrorBuckets() {
-  return {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0};
-}
-
 }  // namespace xsketch::obs

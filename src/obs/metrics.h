@@ -3,8 +3,8 @@
 //
 // Every subsystem registers its metrics by name through
 // MetricsRegistry::Default() (estimator query/term counters, service batch
-// and latency metrics, XBUILD iteration counters, parser/serialize byte
-// counters) and keeps the returned handle; recording is then a single
+// and latency metrics, XBUILD iteration counters, parser byte counters)
+// and keeps the returned handle; recording is then a single
 // relaxed atomic add with no lock and no lookup. Registration itself takes
 // a mutex and is expected at construction boundaries only.
 //
@@ -233,7 +233,6 @@ class OwnedCounter {
 // Shared bucket layouts, so related metrics stay comparable.
 std::vector<double> LatencyBucketsUs();     // 1us .. ~1s, roughly x4 steps
 std::vector<double> DurationBucketsMs();    // 0.1ms .. ~100s
-std::vector<double> RelativeErrorBuckets(); // 0.01 .. 100 (paper's metric)
 
 }  // namespace xsketch::obs
 

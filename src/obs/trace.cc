@@ -20,7 +20,6 @@ const char* StageName(Stage stage) {
     case Stage::kCompile: return "compile";
     case Stage::kPlanCache: return "plan_cache";
     case Stage::kExecute: return "execute";
-    case Stage::kAudit: return "audit";
     case Stage::kBatch: return "batch";
     case Stage::kBatchChunk: return "batch_chunk";
     case Stage::kBuild: return "build";

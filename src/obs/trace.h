@@ -58,7 +58,6 @@ enum class Stage : uint8_t {
   kCompile,          // TwigCompiler::Compile (lowering)
   kPlanCache,        // service plan-cache lookup (arg: 1 hit / 0 miss)
   kExecute,          // compiled program execution
-  kAudit,            // exact-evaluator accuracy audit of one query
   kBatch,            // EstimateBatch root (arg: query count)
   kBatchChunk,       // one thread-pool task of a batch (arg: chunk size)
   kBuild,            // XBuild::Build root
@@ -67,7 +66,7 @@ enum class Stage : uint8_t {
   kCatalogMmap,      // mmap + validation inside a Put (arg: frozen bytes)
   kCatalogSwap,      // generation install under the catalog lock
 };
-inline constexpr int kStageCount = 13;
+inline constexpr int kStageCount = 12;
 const char* StageName(Stage stage);
 
 // One completed span. start_ns is monotonic, measured from the process

@@ -2,13 +2,6 @@
 
 namespace xsketch::plan {
 
-util::Result<double> EstimatorCardinalities::Cardinality(
-    const query::TwigQuery& twig) const {
-  auto stats = estimator_.EstimateChecked(twig);
-  if (!stats.ok()) return stats.status();
-  return stats.value().estimate;
-}
-
 util::Result<double> ServiceCardinalities::Cardinality(
     const query::TwigQuery& twig) const {
   auto plan = service_.Prepare(twig);

@@ -7,10 +7,9 @@
 // for the (unaffordably expensive) true counts. This interface isolates
 // that choice so the same planner can run with
 //
-//   EstimatorCardinalities   the reference XSKETCH interpreter,
-//   ServiceCardinalities     the compiled Prepare/Execute serving path
-//                            (plan-cache backed, bit-identical to the
-//                            interpreter),
+//   ServiceCardinalities     XSKETCH estimates through the compiled
+//                            Prepare/Execute serving path (plan-cache
+//                            backed, bit-identical to the interpreter),
 //   ExactCardinalities       ground truth via ExactEvaluator — the
 //                            oracle bound every estimate-driven plan is
 //                            measured against in bench/perf_plan.
@@ -23,7 +22,6 @@
 
 #include <string_view>
 
-#include "core/estimator.h"
 #include "query/evaluator.h"
 #include "query/twig.h"
 #include "service/estimation_service.h"
@@ -41,23 +39,8 @@ class CardinalityProvider {
   virtual util::Result<double> Cardinality(
       const query::TwigQuery& twig) const = 0;
 
-  // Short label for reports ("estimator", "service", "exact").
+  // Short label for reports ("service", "exact").
   virtual std::string_view name() const = 0;
-};
-
-// XSKETCH estimates via the reference interpreter. The estimator must
-// outlive the provider.
-class EstimatorCardinalities final : public CardinalityProvider {
- public:
-  explicit EstimatorCardinalities(const core::Estimator& estimator)
-      : estimator_(estimator) {}
-
-  util::Result<double> Cardinality(
-      const query::TwigQuery& twig) const override;
-  std::string_view name() const override { return "estimator"; }
-
- private:
-  const core::Estimator& estimator_;
 };
 
 // XSKETCH estimates via the serving path: Prepare (LRU plan cache) +

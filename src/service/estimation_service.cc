@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -22,20 +21,6 @@ using Clock = std::chrono::steady_clock;
 double MicrosBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
-
-// SplitMix64: the audit sampling mask must be deterministic in the query
-// index so a batch audited twice samples the same queries.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-// The sanity bound s in the paper's relative-error metric
-// |r - c| / max(s, c) (§6.1): guards division by zero for empty-result
-// queries.
-constexpr double kAuditSanityBound = 1.0;
 
 }  // namespace
 
@@ -79,19 +64,7 @@ util::Status ServiceOptions::Validate() const {
         "num_threads must be >= 0 (got " + std::to_string(num_threads) +
         "; 0 means hardware concurrency)");
   }
-  if (!(audit_fraction >= 0.0 && audit_fraction <= 1.0)) {
-    return util::Status::InvalidArgument(
-        "audit_fraction must be in [0, 1] (got " +
-        std::to_string(audit_fraction) + ")");
-  }
   return estimator.Validate();
-}
-
-util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
-    core::TwigXSketch sketch, const ServiceOptions& options) {
-  if (util::Status st = options.Validate(); !st.ok()) return st;
-  return std::unique_ptr<EstimationService>(
-      new EstimationService(std::move(sketch), nullptr, options));
 }
 
 util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
@@ -101,24 +74,15 @@ util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
   if (frozen == nullptr) {
     return util::Status::InvalidArgument("frozen synopsis must not be null");
   }
-  if (options.audit_fraction > 0.0) {
-    return util::Status::InvalidArgument(
-        "audit mode needs the source document; a frozen-only service has "
-        "none (load the XSK2 sketch instead)");
-  }
   return std::unique_ptr<EstimationService>(
-      new EstimationService(std::nullopt, std::move(frozen), options));
+      new EstimationService(std::move(frozen), options));
 }
 
 EstimationService::EstimationService(
-    std::optional<core::TwigXSketch> sketch,
     std::shared_ptr<const core::FrozenSynopsis> frozen,
     const ServiceOptions& options)
-    : sketch_(std::move(sketch)),
-      options_(options),
-      frozen_(frozen != nullptr
-                  ? std::move(frozen)
-                  : std::make_shared<const core::FrozenSynopsis>(*sketch_)),
+    : options_(options),
+      frozen_(std::move(frozen)),
       compiler_(std::make_unique<const core::TwigCompiler>(frozen_,
                                                            options.estimator)),
       num_threads_(options.num_threads > 0
@@ -126,9 +90,6 @@ EstimationService::EstimationService(
                        : util::ThreadPool::HardwareThreads()) {
   if (num_threads_ > 1) {
     pool_ = std::make_unique<util::ThreadPool>(num_threads_);
-  }
-  if (options_.audit_fraction > 0.0) {
-    exact_ = std::make_unique<query::ExactEvaluator>(sketch_->doc());
   }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   metrics_.batches =
@@ -142,13 +103,6 @@ EstimationService::EstimationService(
       &reg.GetHistogram("xsketch_service_query_latency_us",
                         obs::LatencyBucketsUs(),
                         "per-query estimation latency (microseconds)");
-  metrics_.audit_samples =
-      &reg.GetCounter("xsketch_service_audit_samples_total",
-                      "batch queries audited against exact evaluation");
-  metrics_.audit_rel_error = &reg.GetHistogram(
-      "xsketch_service_audit_rel_error", obs::RelativeErrorBuckets(),
-      "audit relative error |r - c| / max(s, c), the paper's Section 6.1 "
-      "metric");
   metrics_.deadline_abandoned = &reg.GetCounter(
       "xsketch_service_deadline_abandoned_total",
       "batch queries abandoned at chunk boundaries past their deadline");
@@ -271,15 +225,6 @@ void EstimationService::RecordFlight(
   obs::FlightRecorder::Default().Record(std::move(rec));
 }
 
-bool EstimationService::AuditSelected(size_t index) const {
-  if (exact_ == nullptr) return false;
-  // Map the hash to [0, 1) and compare against the sampled fraction.
-  const uint64_t h = Mix64(static_cast<uint64_t>(index));
-  const double u =
-      static_cast<double>(h >> 11) * 0x1.0p-53;  // 53 uniform bits
-  return u < options_.audit_fraction;
-}
-
 EstimationService::~EstimationService() = default;
 
 util::Result<core::EstimateStats> EstimationService::Estimate(
@@ -312,9 +257,6 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
   // into the final vector once every slot is filled.
   std::vector<std::optional<util::Result<core::EstimateStats>>> staged(n);
   std::vector<double> latencies_us(n, 0.0);
-  // Audit relative errors, indexed like the queries; negative = not
-  // audited (skipped by the sampling mask, or the query failed).
-  std::vector<double> audit_errors(n, -1.0);
   // Per-query plan-cache outcome: 0 no lookup (invalid or abandoned),
   // 1 miss, 2 hit.
   std::vector<uint8_t> plan_outcome(n, 0);
@@ -325,8 +267,7 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
       1, n / (static_cast<size_t>(num_threads_) * 4));
   const obs::TraceContext chunk_ctx = batch_span.context();
   auto run_chunk = [this, queries, chunk_ctx, deadline, &staged,
-                    &latencies_us, &audit_errors,
-                    &plan_outcome](size_t begin, size_t end) {
+                    &latencies_us, &plan_outcome](size_t begin, size_t end) {
     // Explicit handoff: the chunk span attaches under the batch envelope
     // (and an unsampled batch suppresses every nested span on a worker
     // for the chunk's duration).
@@ -359,17 +300,6 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
       metrics_.latency_us->Observe(latencies_us[i], chunk_ctx.trace_id);
       RecordFlight(queries[i], chunk_ctx.trace_id, std::move(attr),
                    latencies_us[i], *staged[i]);
-      if (staged[i]->ok() && AuditSelected(i)) {
-        // Ground truth on the sampled query: the paper's relative-error
-        // metric |r - c| / max(s, c) (§6.1).
-        obs::SpanScope audit_span(obs::Stage::kAudit, i);
-        const double r = staged[i]->value().estimate;
-        const double c = static_cast<double>(exact_->Selectivity(queries[i]));
-        audit_errors[i] =
-            std::abs(r - c) / std::max(kAuditSanityBound, c);
-        metrics_.audit_samples->Increment();
-        metrics_.audit_rel_error->Observe(audit_errors[i]);
-      }
     }
     metrics_.inflight->Sub(static_cast<double>(end - begin));
   };
@@ -443,15 +373,6 @@ EstimationService::EstimateBatch(std::span<const query::TwigQuery> queries,
       agg.plan_cache_lookups += outcome != 0;
       agg.plan_cache_hits += outcome == 2;
     }
-    double err_sum = 0.0;
-    for (double e : audit_errors) {
-      if (e < 0.0) continue;
-      ++agg.audited;
-      err_sum += e;
-      agg.audit_max_rel_error = std::max(agg.audit_max_rel_error, e);
-    }
-    agg.audit_mean_rel_error =
-        agg.audited == 0 ? 0.0 : err_sum / static_cast<double>(agg.audited);
     *stats = agg;
   }
   return results;

@@ -2,9 +2,10 @@
 //
 // The paper's evaluation (§6, Table 2) runs thousand-query workloads
 // against one synopsis; this is the serving-shaped version of that setting:
-// the service freezes its sketch into a FrozenSynopsis, lowers queries to
-// CompiledTwig programs through one shared TwigCompiler (core/compile.h),
-// and fans batches out across a fixed thread pool. Compiled execution is
+// the service serves one FrozenSynopsis (heap-frozen after XBUILD or
+// mmap-loaded from an XSK3 file), lowers queries to CompiledTwig programs
+// through one shared TwigCompiler (core/compile.h), and fans batches out
+// across a fixed thread pool. Compiled execution is
 // the only serving path; it is bit-identical to the reference interpreter
 // (core::Estimator, kept as the test oracle and the XBUILD scorer) —
 // estimates AND EstimateStats counters. Per-query work is independent, so
@@ -19,13 +20,6 @@
 // of kPlanCacheCapacity programs keyed by the twig's canonical byte
 // encoding, so repeated query shapes skip lowering entirely;
 // EstimateBatch and Estimate route through the same cache.
-//
-// Audit mode (opt-in via ServiceOptions::audit_fraction): a deterministic
-// sample of each batch is additionally evaluated exactly with
-// query::ExactEvaluator, and the paper's relative-error metric
-// |r - c| / max(s, c) (§6.1, sanity bound s = 1) is aggregated into
-// BatchStats and fed into the process-wide xsketch_service_audit_rel_error
-// histogram — live accuracy telemetry against ground truth.
 //
 // Tracing (obs/trace.h) is the caller's decision: a batch or estimate
 // records its span tree only when the calling thread is inside a sampled
@@ -50,9 +44,7 @@
 
 #include "core/compile.h"
 #include "core/frozen.h"
-#include "core/twig_xsketch.h"
 #include "obs/metrics.h"
-#include "query/evaluator.h"
 #include "query/twig.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -73,14 +65,6 @@ struct ServiceOptions {
   int num_threads = 0;
   // Forwarded to the shared TwigCompiler.
   core::EstimatorOptions estimator;
-
-  // Accuracy audit: fraction of each batch's queries (in [0, 1]) whose
-  // true selectivity is computed exactly and compared against the
-  // estimate. 0 disables auditing (and skips building the evaluator).
-  // Exact evaluation walks the document, so keep the fraction small on
-  // large documents. The sample is a pure function of the query's batch
-  // index: the same batch audited twice samples the same queries.
-  double audit_fraction = 0.0;
 
   // Sketch generation stamped into flight records — SketchCatalog sets
   // it for the service each generation owns; 0 otherwise.
@@ -107,12 +91,6 @@ struct BatchStats {
   // batches overlap): one lookup per query that passed validation.
   uint64_t plan_cache_lookups = 0;
   uint64_t plan_cache_hits = 0;
-  // Accuracy audit (populated only when ServiceOptions::audit_fraction
-  // > 0): sampled queries evaluated exactly, and the paper's relative
-  // error |r - c| / max(s, c) over that sample.
-  size_t audited = 0;
-  double audit_mean_rel_error = 0.0;
-  double audit_max_rel_error = 0.0;
   // Sums of the per-query EstimateStats counters (successful queries).
   int64_t covered_terms = 0;      // E_i
   int64_t uniformity_terms = 0;   // U_i
@@ -127,16 +105,11 @@ class EstimationService {
   // Compiled programs kept in the LRU plan cache.
   static constexpr size_t kPlanCacheCapacity = 256;
 
-  // Takes ownership of `sketch`; validates `options`. The returned
-  // service is immutable and safe to share across threads.
-  static util::Result<std::unique_ptr<EstimationService>> Create(
-      core::TwigXSketch sketch, const ServiceOptions& options = {});
-
-  // Frozen-only service over an already-frozen synopsis — typically one
-  // mmap-loaded from an XSK3 file (core/frozen_io.h). No TwigXSketch, no
-  // source document: every estimate runs as a compiled program over the
-  // frozen arrays, exactly as for the full-sketch service. Rejects
-  // audit_fraction > 0, which needs the document.
+  // A service over `frozen` — heap-frozen from a TwigXSketch or
+  // mmap-loaded from an XSK3 file (core/frozen_io.h); validates
+  // `options`. Every estimate runs as a compiled program over the frozen
+  // arrays. The returned service is immutable and safe to share across
+  // threads.
   static util::Result<std::unique_ptr<EstimationService>> Create(
       std::shared_ptr<const core::FrozenSynopsis> frozen,
       const ServiceOptions& options = {});
@@ -191,27 +164,16 @@ class EstimationService {
   // xsketch_service_plan_cache_*_total series sum it over all services).
   PlanCacheCounters plan_cache_counters() const;
 
-  // False for frozen-only services (no TwigXSketch, no source document);
-  // sketch() may only be called when this is true.
-  bool has_sketch() const { return sketch_.has_value(); }
-  const core::TwigXSketch& sketch() const { return *sketch_; }
   const core::TwigCompiler& compiler() const { return *compiler_; }
   const core::FrozenSynopsis& frozen() const { return *frozen_; }
-  // Tag names usable for parsing path queries against this service —
-  // works in both modes (the frozen synopsis carries its own interner).
+  // Tag names usable for parsing path queries against this service (the
+  // frozen synopsis carries its own interner).
   const util::StringInterner& tags() const { return frozen_->tags(); }
   int num_threads() const { return num_threads_; }
 
  private:
-  // `frozen` is null for a full-sketch service (the constructor freezes
-  // `sketch`); `sketch` is empty for a frozen-only one.
-  EstimationService(std::optional<core::TwigXSketch> sketch,
-                    std::shared_ptr<const core::FrozenSynopsis> frozen,
+  EstimationService(std::shared_ptr<const core::FrozenSynopsis> frozen,
                     const ServiceOptions& options);
-
-  // True iff query `index` of a batch falls in the audit sample
-  // (deterministic in index).
-  bool AuditSelected(size_t index) const;
 
   // Per-query stage attribution for the flight recorder: the canonical
   // key (encoded once, reused as the record identity) plus where the time
@@ -247,8 +209,6 @@ class EstimationService {
     obs::Counter* queries;
     obs::Counter* failed;
     obs::Histogram* latency_us;
-    obs::Counter* audit_samples;
-    obs::Histogram* audit_rel_error;
     // Batch queries abandoned at a chunk boundary because the request
     // deadline had already passed.
     obs::Counter* deadline_abandoned;
@@ -268,12 +228,9 @@ class EstimationService {
   };
   using PlanList = std::list<PlanEntry>;
 
-  // Owned sketch; absent for frozen-only services. Audit mode evaluates
-  // against its document.
-  std::optional<core::TwigXSketch> sketch_;
   ServiceOptions options_;
-  // Frozen synopsis for the compiled path: self-contained (owns or pins
-  // its storage), present in both modes.
+  // The synopsis every program executes over: self-contained (owns or
+  // pins its storage).
   std::shared_ptr<const core::FrozenSynopsis> frozen_;
   std::unique_ptr<const core::TwigCompiler> compiler_;
   mutable std::mutex plan_mu_;
@@ -288,10 +245,6 @@ class EstimationService {
   mutable obs::OwnedCounter plan_cache_evictions_{
       "xsketch_service_plan_cache_evictions_total",
       "compiled plans evicted from the LRU cache"};
-  // Ground-truth evaluator for audit mode; null when auditing is off.
-  // ExactEvaluator::Selectivity is const with call-local memoization, so
-  // one instance serves all workers concurrently.
-  std::unique_ptr<query::ExactEvaluator> exact_;
   int num_threads_ = 1;
   // Batch workers; null when num_threads_ == 1 (batches run inline).
   std::unique_ptr<util::ThreadPool> pool_;

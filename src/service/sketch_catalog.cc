@@ -55,7 +55,7 @@ util::Result<SketchHandle> SketchCatalog::Put(const std::string& doc_id,
   util::Result<std::shared_ptr<const core::FrozenSynopsis>> frozen =
       [&] {
         obs::SpanScope mmap_span(obs::Stage::kCatalogMmap);
-        auto loaded = core::LoadFrozenFile(path, options_.load);
+        auto loaded = core::LoadFrozenFile(path);
         if (loaded.ok()) {
           mmap_span.set_arg(loaded.value()->SizeBytes());
         }

@@ -57,8 +57,6 @@ struct CatalogOptions {
   uint64_t byte_budget = 0;
   // Forwarded to each generation's EstimationService.
   core::EstimatorOptions estimator;
-  // Forwarded to LoadFrozenFile for every Put.
-  core::FrozenLoadOptions load;
 
   util::Status Validate() const { return estimator.Validate(); }
 };

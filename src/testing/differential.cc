@@ -1,13 +1,13 @@
 #include "testing/differential.h"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "core/builder.h"
 #include "core/compile.h"
 #include "core/estimator.h"
 #include "core/frozen_io.h"
-#include "core/serialize.h"
 #include "exec/streams.h"
 #include "exec/structural_join.h"
 #include "exec/twig_stack.h"
@@ -83,6 +83,66 @@ std::string FormatDouble(double v) {
   return os.str();
 }
 
+std::string DescribeNode(const obs::ExplainNode& n) {
+  return "{" + n.kind + " '" + n.label + "' t" + std::to_string(n.twig_node) +
+         " " + FormatDouble(n.value) + " buckets " +
+         std::to_string(n.buckets_read) + " dims " +
+         std::to_string(n.conditioned_dims) + " children " +
+         std::to_string(n.children.size()) + "}";
+}
+
+// Compares two explain trees node for node: op, kind, label, twig node,
+// value bits, buckets read, conditioned dims and child count. Returns ""
+// when equal, else the path to the first difference.
+std::string TraceDiff(const obs::ExplainNode& want,
+                      const obs::ExplainNode& got, const std::string& path) {
+  const std::string here = path + "/" + want.kind;
+  if (want.op != got.op || want.kind != got.kind ||
+      want.label != got.label || want.twig_node != got.twig_node ||
+      std::memcmp(&want.value, &got.value, sizeof(double)) != 0 ||
+      want.buckets_read != got.buckets_read ||
+      want.conditioned_dims != got.conditioned_dims ||
+      want.children.size() != got.children.size()) {
+    return here + ": interpreter " + DescribeNode(want) + " vs compiled " +
+           DescribeNode(got);
+  }
+  for (size_t i = 0; i < want.children.size(); ++i) {
+    std::string diff = TraceDiff(want.children[i], got.children[i],
+                                 here + "[" + std::to_string(i) + "]");
+    if (!diff.empty()) return diff;
+  }
+  return "";
+}
+
+// The compiled trace and its stats counters against the interpreter's.
+std::string ExplainDiff(const obs::ExplainTrace& want,
+                        const core::EstimateStats& want_stats,
+                        const obs::ExplainTrace& got,
+                        const core::EstimateStats& got_stats) {
+  if (want.empty() != got.empty()) {
+    return std::string("interpreter trace is ") +
+           (want.empty() ? "empty" : "non-empty") + ", compiled trace is " +
+           (got.empty() ? "empty" : "non-empty");
+  }
+  if (!want.empty()) {
+    std::string diff = TraceDiff(want.root(), got.root(), "");
+    if (!diff.empty()) return diff;
+  }
+  if (std::memcmp(&want_stats.estimate, &got_stats.estimate,
+                  sizeof(double)) != 0 ||
+      want_stats.covered_terms != got_stats.covered_terms ||
+      want_stats.uniformity_terms != got_stats.uniformity_terms ||
+      want_stats.conditioned_nodes != got_stats.conditioned_nodes ||
+      want_stats.value_fractions != got_stats.value_fractions ||
+      want_stats.existential_terms != got_stats.existential_terms ||
+      want_stats.descendant_chains != got_stats.descendant_chains) {
+    return "stats diverged: interpreter estimate " +
+           FormatDouble(want_stats.estimate) + ", compiled " +
+           FormatDouble(got_stats.estimate) + " (or a term counter)";
+  }
+  return "";
+}
+
 class Checker {
  public:
   Checker(DocShape shape, uint64_t doc_seed, DifferentialReport* report)
@@ -145,18 +205,6 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
   const auto frozen = std::make_shared<const core::FrozenSynopsis>(sketch);
   const core::TwigCompiler compiler(frozen, eopts);
 
-  // Serialize -> deserialize once per sketch; per-query re-estimates must
-  // be bit-identical to the original.
-  const std::string bytes = core::SaveSketch(sketch);
-  auto restored = core::LoadSketch(bytes, doc);
-  if (!check.Check(restored.ok(), std::string(sketch_name) + "/round-trip",
-                   -1, queries.front(), tags,
-                   "LoadSketch(SaveSketch(...)) failed: " +
-                       restored.status().ToString())) {
-    return;
-  }
-  const core::Estimator restored_estimator(restored.value(), eopts);
-
   // XSK3 path: the frozen synopsis serialized to the mmap format and
   // loaded back as a zero-copy view (checksums verified), then
   // recompiled. Estimates AND diagnostic counters must be bit-identical
@@ -168,9 +216,7 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
                    "SaveFrozen failed: " + xsk3_bytes.status().ToString())) {
     return;
   }
-  core::FrozenLoadOptions xsk3_opts;
-  xsk3_opts.verify_checksums = true;
-  auto xsk3 = core::LoadFrozenFromBytes(xsk3_bytes.value(), xsk3_opts);
+  auto xsk3 = core::LoadFrozenFromBytes(xsk3_bytes.value());
   if (!check.Check(xsk3.ok(), std::string(sketch_name) + "/xsk3-load", -1,
                    queries.front(), tags,
                    "LoadFrozenFromBytes(SaveFrozen(...)) failed: " +
@@ -180,12 +226,11 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
   const core::TwigCompiler xsk3_compiler(xsk3.value(), eopts);
 
   // Batch-parallel path: one EstimationService fan-out over the whole
-  // query set (copies the sketch; the service owns its own).
+  // query set, sharing the heap-built frozen synopsis.
   service::ServiceOptions sopts;
   sopts.num_threads = options.batch_threads;
   sopts.estimator = eopts;
-  auto service =
-      service::EstimationService::Create(core::TwigXSketch(sketch), sopts);
+  auto service = service::EstimationService::Create(frozen, sopts);
   XS_CHECK(service.ok());
   const auto batch = service.value()->EstimateBatch(queries);
 
@@ -195,8 +240,7 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
   // the arithmetic. This is also the flight-recorder smoke: every
   // generated query lands a record, and Checker attaches the matching
   // record to any failure's repro.
-  auto traced =
-      service::EstimationService::Create(core::TwigXSketch(sketch), sopts);
+  auto traced = service::EstimationService::Create(frozen, sopts);
   XS_CHECK(traced.ok());
   const auto traced_batch = [&] {
     obs::SpanScope root(obs::Tracer::Default().ForceTrace(),
@@ -240,11 +284,12 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
                     " != Estimate " + FormatDouble(estimate));
 
     obs::ExplainTrace trace;
-    const core::EstimateStats traced = estimator.EstimateWithTrace(q, &trace);
-    check.Check(traced.estimate == estimate,
+    const core::EstimateStats trace_stats =
+        estimator.EstimateWithTrace(q, &trace);
+    check.Check(trace_stats.estimate == estimate,
                 std::string(sketch_name) + "/bit-identity-trace", qi, q,
                 tags,
-                "EstimateWithTrace " + FormatDouble(traced.estimate) +
+                "EstimateWithTrace " + FormatDouble(trace_stats.estimate) +
                     " != Estimate " + FormatDouble(estimate));
 
     const auto compiled = compiler.Compile(q);
@@ -285,6 +330,15 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
               ", fe=" + std::to_string(stats.existential_terms) +
               ", dc=" + std::to_string(stats.descendant_chains) + ")");
 
+      obs::ExplainTrace ctrace;
+      const core::EstimateStats cstats_traced =
+          compiled.value()->ExecuteWithTrace(&ctrace);
+      const std::string cdiff =
+          ExplainDiff(trace, trace_stats, ctrace, cstats_traced);
+      check.Check(cdiff.empty(),
+                  std::string(sketch_name) + "/explain-compiled", qi, q, tags,
+                  "compiled ExecuteWithTrace != EstimateWithTrace: " + cdiff);
+
       const auto xplan = xsk3_compiler.Compile(q);
       if (check.Check(xplan.ok(),
                       std::string(sketch_name) + "/xsk3-compiled-accepts",
@@ -304,6 +358,16 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
             "XSK3-loaded ExecuteWithStats " + FormatDouble(xstats.estimate) +
                 " != interpreted " + FormatDouble(estimate) +
                 " (or diagnostic counters diverged)");
+        obs::ExplainTrace xtrace;
+        const core::EstimateStats xstats_traced =
+            xplan.value()->ExecuteWithTrace(&xtrace);
+        const std::string xdiff =
+            ExplainDiff(trace, trace_stats, xtrace, xstats_traced);
+        check.Check(xdiff.empty(),
+                    std::string(sketch_name) + "/explain-compiled-xsk3", qi,
+                    q, tags,
+                    "XSK3-loaded ExecuteWithTrace != EstimateWithTrace: " +
+                        xdiff);
       }
     }
 
@@ -330,13 +394,6 @@ void CheckSketch(const DifferentialOptions& options, DocShape shape,
               " != Estimate " + FormatDouble(estimate) +
               " (tracing must not perturb arithmetic)");
     }
-
-    check.Check(restored_estimator.Estimate(q) == estimate,
-                std::string(sketch_name) + "/bit-identity-round-trip", qi, q,
-                tags,
-                "restored-sketch estimate " +
-                    FormatDouble(restored_estimator.Estimate(q)) +
-                    " != original " + FormatDouble(estimate));
 
     if (shape == DocShape::kStable) {
       // Perfectly-stable structure: every element of a tag has identical
@@ -368,8 +425,13 @@ void CheckExecutors(const DifferentialOptions& options, DocShape shape,
   const exec::StreamIndex index(doc);
   const exec::StructuralJoinExecutor executor(index);
   const exec::HolisticTwigJoin holistic(index);
-  const core::Estimator estimator(sketch, EstimatorOptionsFor(options, shape));
-  const plan::EstimatorCardinalities cards(estimator);
+  service::ServiceOptions sopts;
+  sopts.num_threads = 1;
+  sopts.estimator = EstimatorOptionsFor(options, shape);
+  auto service = service::EstimationService::Create(
+      std::make_shared<const core::FrozenSynopsis>(sketch), sopts);
+  XS_CHECK(service.ok());
+  const plan::ServiceCardinalities cards(*service.value());
 
   for (size_t i = 0; i < queries.size(); ++i) {
     if (only_query >= 0 && static_cast<int>(i) != only_query) continue;

@@ -2,7 +2,7 @@
 // against the exact evaluator over seeded random (document, query) pairs.
 //
 // For each generated document the runner builds both the coarsest and an
-// XBUILD-refined sketch, serializes and reloads each, stands up an
+// XBUILD-refined sketch, round-trips each through XSK3, stands up an
 // EstimationService, and checks every generated query against these
 // invariants:
 //
@@ -16,7 +16,12 @@
 //   traced        a second EstimationService with span tracing sampled at
 //                 1.0 and the flight recorder on returns bit-identical
 //                 estimates — observability must never perturb arithmetic
-//   round-trip    SaveSketch -> LoadSketch -> re-estimate is bit-identical
+//   explain-compiled
+//                 CompiledTwig::ExecuteWithTrace, over the heap-built and
+//                 the XSK3-loaded frozen synopsis, records the tree
+//                 EstimateWithTrace records, node for node (op, kind,
+//                 label, twig node, value bits, buckets, conditioned
+//                 dims), with the same EstimateStats counters
 //   exactness     on perfectly-stable documents (DocShape::kStable),
 //                 structural estimates equal the exact evaluator's counts
 //   executors     the structural-join executors (src/exec) reproduce the

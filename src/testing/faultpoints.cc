@@ -8,8 +8,8 @@ namespace xsketch::testing {
 
 namespace {
 
-// SplitMix64, the repo's standard deterministic mixer (testing/seed.cc,
-// service audit mask): the fire decision for hit k of a point armed with
+// SplitMix64, the repo's standard deterministic mixer (as in
+// testing/seed.cc): the fire decision for hit k of a point armed with
 // seed s is a pure function of (s, k).
 uint64_t Mix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;

@@ -17,8 +17,8 @@
 // is why the tier-1 suites run with the points compiled in.
 //
 // The registry lives in the core library (not xsketch_testing) because
-// the instrumented sites do: util/mmap_file, core/serialize, the
-// catalog load path, and the daemon's request handlers.
+// the instrumented sites do: util/mmap_file, util/posix_io, the catalog
+// load path, and the daemon's request handlers.
 
 #ifndef XSKETCH_TESTING_FAULTPOINTS_H_
 #define XSKETCH_TESTING_FAULTPOINTS_H_

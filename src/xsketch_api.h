@@ -17,10 +17,12 @@
 //   data::      built-in generators (bibliography, XMark, IMDB, SwissProt)
 //   query::     TwigQuery, ParsePath / ParseForClause, ExactEvaluator,
 //               workload generation
-//   core::      BuildOptions + XBuild, TwigXSketch (+ Coarsest),
-//               Estimator (the reference interpreter), FrozenSynopsis +
-//               TwigCompiler + CompiledTwig (the compiled hot path),
-//               Save/LoadSketch (little-endian XSK2 format)
+//   core::      BuildOptions + XBuild, TwigXSketch (+ Coarsest) — the
+//               build-time sketch; Estimator (the reference interpreter:
+//               test oracle and XBUILD scorer); FrozenSynopsis +
+//               TwigCompiler + CompiledTwig (the one estimation path,
+//               explain included); SaveFrozen / LoadFrozen (XSK3, the
+//               sketch file format)
 //   service::   EstimationService — the concurrent batch engine the
 //               Tier-1 Session wraps — plus SketchCatalog and
 //               CanonicalTwigKey (the plan-cache / flight-record key)
@@ -48,7 +50,9 @@
 //
 // Prepare lowers the query once (cached across calls); Execute runs the
 // compiled program — bit-identical to the reference interpreter, roughly
-// an order of magnitude faster on repeated shapes.
+// an order of magnitude faster on repeated shapes. A session holds only
+// the frozen synopsis: the TwigXSketch an Open call receives is frozen
+// and dropped.
 
 #ifndef XSKETCH_XSKETCH_API_H_
 #define XSKETCH_XSKETCH_API_H_
@@ -67,7 +71,6 @@
 #include "core/estimator.h"
 #include "core/frozen.h"
 #include "core/frozen_io.h"
-#include "core/serialize.h"
 #include "core/twig_xsketch.h"
 #include "data/figures.h"
 #include "data/imdb.h"
@@ -124,28 +127,26 @@ class PreparedQuery {
   std::shared_ptr<const core::CompiledTwig> plan_;
 };
 
-// One synopsis opened for querying: owns the sketch, the frozen synopsis,
-// the compiler with its cross-query expansion cache, the LRU plan cache,
+// One synopsis opened for querying: owns the frozen synopsis, the
+// compiler with its cross-query expansion cache, the LRU plan cache,
 // and the batch thread pool (all via the underlying EstimationService;
 // a one-thread session runs batches on the calling thread).
 // Copyable shared handle; all methods are const and thread-safe.
 class Session {
  public:
-  // Takes ownership of `sketch`. Options default to hardware-concurrency
-  // batching; see service::ServiceOptions.
+  // Freezes `sketch` (which is then dropped) and opens a session over the
+  // frozen synopsis. Options default to hardware-concurrency batching;
+  // see service::ServiceOptions.
   static util::Result<Session> Open(core::TwigXSketch sketch,
                                     const service::ServiceOptions& options =
                                         {}) {
-    auto svc = service::EstimationService::Create(std::move(sketch), options);
-    if (!svc.ok()) return svc.status();
-    return Session(std::shared_ptr<service::EstimationService>(
-        std::move(svc).value()));
+    return Open(std::make_shared<const core::FrozenSynopsis>(sketch),
+                options);
   }
 
   // Opens a session over an already-frozen synopsis — typically one
-  // mmap-loaded from an XSK3 file. The session has no source document or
-  // sketch: Explain and audit mode are unavailable, everything else
-  // (Prepare / Execute / ExecuteBatch) is bit-identical to the heap path.
+  // mmap-loaded from an XSK3 file. Every verb, Explain included, is
+  // bit-identical to a session opened from the sketch itself.
   static util::Result<Session> Open(
       std::shared_ptr<const core::FrozenSynopsis> frozen,
       const service::ServiceOptions& options = {}) {
@@ -159,9 +160,8 @@ class Session {
   // mapping stays pinned by the session (and by any PreparedQuery that
   // outlives it).
   static util::Result<Session> OpenMapped(
-      const std::string& path, const service::ServiceOptions& options = {},
-      const core::FrozenLoadOptions& load = {}) {
-    auto frozen = core::LoadFrozenFile(path, load);
+      const std::string& path, const service::ServiceOptions& options = {}) {
+    auto frozen = core::LoadFrozenFile(path);
     if (!frozen.ok()) return frozen.status();
     return Open(std::move(frozen).value(), options);
   }
@@ -212,29 +212,19 @@ class Session {
     return plan::PlanTwig(twig, cards, options);
   }
 
-  // Full explain trace of one estimate, via the reference interpreter
-  // (the trace records every E/U/D term; trace->estimate() and the
-  // returned estimate are bit-identical to the compiled path's output).
-  // Explain is a diagnostic, not a serving path: each call builds its own
-  // interpreter over the session's sketch. Unavailable on frozen-only
-  // sessions (no sketch to interpret).
+  // Full explain trace of one estimate: Prepare (through the plan
+  // cache), then the compiled program runs traced. The trace records
+  // every E/U/D term, node for node what the reference interpreter's
+  // EstimateWithTrace records; trace->estimate() and the returned
+  // estimate are bit-identical to Execute(). `trace` must be non-null.
   util::Result<core::EstimateStats> Explain(const query::TwigQuery& twig,
                                             obs::ExplainTrace* trace) const {
-    if (!service_->has_sketch()) {
-      return util::Status::InvalidArgument(
-          "Explain needs the reference interpreter; this session was "
-          "opened from a frozen (XSK3) sketch");
-    }
-    if (util::Status st = twig.Validate(); !st.ok()) return st;
-    const core::Estimator estimator(service_->sketch(),
-                                    service_->compiler().options());
-    return estimator.EstimateWithTrace(twig, trace);
+    auto prepared = Prepare(twig);
+    if (!prepared.ok()) return prepared.status();
+    return prepared.value().plan().ExecuteWithTrace(trace);
   }
 
-  // Tier-2 interop. sketch() may only be called when has_sketch() is
-  // true (sessions opened from a TwigXSketch, not from a frozen image).
-  bool has_sketch() const { return service_->has_sketch(); }
-  const core::TwigXSketch& sketch() const { return service_->sketch(); }
+  // Tier-2 interop.
   const service::EstimationService& service() const { return *service_; }
 
  private:

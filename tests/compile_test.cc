@@ -26,6 +26,7 @@
 #include "query/xpath_parser.h"
 #include "service/estimation_service.h"
 #include "xsketch_api.h"
+#include "test_env.h"
 
 namespace xsketch::core {
 namespace {
@@ -238,7 +239,7 @@ std::vector<query::TwigQuery> PredicateShapes(const xml::Document& doc,
 TEST(PlanCacheTest, RepeatedPrepareHitsAndReturnsSharedProgram) {
   xml::Document doc = data::MakeBibliography();
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
-  auto svc = service::EstimationService::Create(std::move(sketch), {});
+  auto svc = service::EstimationService::Create(Freeze(sketch), {});
   ASSERT_TRUE(svc.ok());
 
   auto q = query::ParsePath("//author/paper", doc.tags());
@@ -258,7 +259,7 @@ TEST(PlanCacheTest, RepeatedPrepareHitsAndReturnsSharedProgram) {
 TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   xml::Document doc = data::MakeBibliography();
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
-  auto svc = service::EstimationService::Create(std::move(sketch));
+  auto svc = service::EstimationService::Create(Freeze(sketch));
   ASSERT_TRUE(svc.ok());
 
   // kPlanCacheCapacity + 1 distinct shapes: the predicate bound is part
@@ -312,7 +313,7 @@ TEST(CompileConcurrencyTest, ConcurrentPrepareExecuteBitIdentical) {
   std::vector<double> expected;
   for (const auto& q : queries) expected.push_back(reference.Estimate(q));
 
-  auto svc = service::EstimationService::Create(std::move(sketch));
+  auto svc = service::EstimationService::Create(Freeze(sketch));
   ASSERT_TRUE(svc.ok());
 
   constexpr int kThreads = 8;
@@ -363,13 +364,17 @@ TEST(ApiSessionTest, PrepareExecuteExplainAgree) {
     EXPECT_TRUE(
         BitEqual(prepared.value().ExecuteWithStats().estimate, expected));
 
-    // Explain runs the reference interpreter with a full trace; its
-    // estimate is bitwise the compiled path's output.
-    obs::ExplainTrace trace;
+    // Explain runs the compiled program with its explain sink: the
+    // estimate is bitwise the untraced output, and the tree is the one
+    // the reference interpreter records.
+    obs::ExplainTrace trace, reference_trace;
     auto explained = session.value().Explain(twig.value(), &trace);
     ASSERT_TRUE(explained.ok());
     EXPECT_TRUE(BitEqual(explained.value().estimate, expected));
     EXPECT_TRUE(BitEqual(trace.estimate(), expected));
+    reference.EstimateWithTrace(twig.value(), &reference_trace);
+    EXPECT_EQ(trace.ToJson(), reference_trace.ToJson()) << p;
+    EXPECT_EQ(trace.ToText(), reference_trace.ToText()) << p;
   }
 
   // Parse errors surface through Prepare(string_view).

@@ -12,9 +12,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "daemon/daemon.h"
 #include "data/figures.h"
 #include "net/json.h"
+#include "obs/explain.h"
 #include "net/wire.h"
 #include "query/xpath_parser.h"
 #include "service/estimation_service.h"
@@ -36,6 +39,10 @@ namespace xsketch {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 // --- tiny blocking clients ----------------------------------------------
 
@@ -390,6 +397,127 @@ TEST_F(DaemonTest, DeadlineExpiredInQueueAnswers504) {
   // the deadline was hopeless.
   EXPECT_GE(expired.load(), 3);
   EXPECT_EQ(expired.load() + served.load(), 4);
+}
+
+// Hostile HTTP deadlines: anything but an integer number of ms in
+// [0, 2^32 - 1] (the XSKB u32 domain) answers 400 and counts as an error.
+// Values this large used to overflow the steady-clock arithmetic.
+TEST_F(DaemonTest, HostileDeadlinesAnswer400) {
+  StartDaemon({});
+  const uint64_t errors_before = daemon_->stats().errors;
+  int rejected = 0;
+  for (const char* deadline :
+       {"1e13", "4294967296", "-5", "1.5", "\"10\"", "true"}) {
+    const std::string body =
+        std::string(R"({"doc":"bib","query":"//book","deadline_ms":)") +
+        deadline + "}";
+    auto resp = HttpRoundTrip(port(), "POST", "/estimate", body);
+    EXPECT_EQ(resp.status, 400) << deadline << ": " << resp.body;
+    ++rejected;
+  }
+  for (const char* header : {"10000000000000", "4294967296", "-1", "abc",
+                             "12ms"}) {
+    auto resp = HttpRoundTrip(
+        port(), "POST", "/estimate", R"({"doc":"bib","query":"//book"})",
+        std::string("X-Deadline-Ms: ") + header + "\r\n");
+    EXPECT_EQ(resp.status, 400) << header << ": " << resp.body;
+    ++rejected;
+  }
+  EXPECT_EQ(daemon_->stats().errors - errors_before,
+            static_cast<uint64_t>(rejected));
+
+  // The edges of the domain are served.
+  EXPECT_EQ(HttpRoundTrip(
+                port(), "POST", "/estimate",
+                R"({"doc":"bib","query":"//book","deadline_ms":4294967295})")
+                .status,
+            200);
+  EXPECT_EQ(HttpRoundTrip(port(), "POST", "/estimate",
+                          R"({"doc":"bib","query":"//book","deadline_ms":0})")
+                .status,
+            200);
+  EXPECT_EQ(HttpRoundTrip(port(), "POST", "/estimate",
+                          R"({"doc":"bib","query":"//book"})",
+                          "X-Deadline-Ms: 4294967295\r\n")
+                .status,
+            200);
+}
+
+// Replays an explain tree rendered by ExplainTrace::ToJson into `trace`.
+void ReplayExplainJson(const net::JsonValue& node, obs::ExplainTrace* trace) {
+  static const std::map<std::string, obs::ExplainOp> kOps = {
+      {"leaf", obs::ExplainOp::kLeaf},
+      {"sum", obs::ExplainOp::kSum},
+      {"product", obs::ExplainOp::kProduct},
+      {"existential", obs::ExplainOp::kExistential},
+      {"opaque", obs::ExplainOp::kOpaque}};
+  const std::string& op = *node.FindString("op");
+  const std::string& kind = *node.FindString("kind");
+  const std::string& label = *node.FindString("label");
+  const double value = *node.FindNumber("value");
+  const double* t = node.FindNumber("twig_node");
+  const int twig_node = t != nullptr ? static_cast<int>(*t) : -1;
+  if (op == "leaf") {
+    trace->Leaf(kind, label, value, twig_node);
+    return;
+  }
+  trace->Open(kOps.at(op), kind, label, twig_node);
+  if (const double* b = node.FindNumber("buckets")) {
+    trace->AnnotateBuckets(static_cast<int>(*b));
+  }
+  if (const double* d = node.FindNumber("conditioned")) {
+    trace->AnnotateConditioned(static_cast<int>(*d));
+  }
+  if (const net::JsonValue* children = node.Find("children")) {
+    for (const net::JsonValue& c : children->array()) {
+      ReplayExplainJson(c, trace);
+    }
+  }
+  trace->Close(value);
+}
+
+// /explain on the mmap'd sketch the daemon serves returns the full E/U/D
+// tree beside its counters; the tree's root value, its recomputation, and
+// the recomputed extent sum all equal /estimate's estimate bit for bit.
+TEST_F(DaemonTest, ExplainReturnsFullTreeOnMappedSketch) {
+  StartDaemon({});
+  for (const char* query :
+       {"//author[book]/paper", "//author/paper/keyword",
+        "//paper[year>2000]/title"}) {
+    const std::string body =
+        std::string(R"({"doc":"bib","query":")") + query + "\"}";
+    auto est = HttpRoundTrip(port(), "POST", "/estimate", body);
+    auto explain = HttpRoundTrip(port(), "POST", "/explain", body);
+    ASSERT_EQ(est.status, 200) << est.body;
+    ASSERT_EQ(explain.status, 200) << explain.body;
+    auto est_json = net::ParseJson(est.body);
+    auto explain_json = net::ParseJson(explain.body, /*max_depth=*/256);
+    ASSERT_TRUE(est_json.ok() && explain_json.ok()) << explain.body;
+    const double estimate = *est_json.value().FindNumber("estimate");
+
+    // Every field of the counter-only response is still there.
+    for (const char* field : {"estimate", "doc", "generation", "terms",
+                              "plan", "trace"}) {
+      EXPECT_NE(explain_json.value().Find(field), nullptr) << field;
+    }
+    EXPECT_TRUE(BitEqual(*explain_json.value().FindNumber("estimate"),
+                         estimate));
+
+    const net::JsonValue& tree = *explain_json.value().Find("trace");
+    obs::ExplainTrace trace;
+    ReplayExplainJson(tree, &trace);
+    EXPECT_TRUE(BitEqual(trace.estimate(), estimate)) << query;
+    EXPECT_TRUE(BitEqual(trace.Recompute(), estimate)) << query;
+    // The root is the final clamp; re-derive the extent sum beneath it.
+    obs::ExplainTrace extents;
+    ReplayExplainJson(tree.Find("children")->array().at(0), &extents);
+    EXPECT_TRUE(BitEqual(std::max(0.0, extents.Recompute()), estimate))
+        << query;
+    // Each query has a child step, so the tree reaches an E or U term.
+    EXPECT_TRUE(explain.body.find("\"kind\":\"E\"") != std::string::npos ||
+                explain.body.find("\"kind\":\"U\"") != std::string::npos)
+        << query;
+  }
 }
 
 TEST_F(DaemonTest, BatchDeadlinePropagatesToChunks) {

@@ -10,12 +10,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/frozen.h"
 #include "core/frozen_io.h"
-#include "core/serialize.h"
 #include "core/twig_xsketch.h"
 #include "data/figures.h"
 #include "service/sketch_catalog.h"
@@ -28,6 +29,13 @@ namespace xsketch {
 namespace {
 
 using testing::FaultPoints;
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -131,35 +139,31 @@ TEST_F(FaultPointsTest, ArmFromEnvParsesAndSkipsTypos) {
 TEST_F(FaultPointsTest, PosixIoInjectedFailures) {
   const std::string path = UniqueTempPath("fp_io.bin");
   const std::string payload(8192, 'x');
-  ASSERT_TRUE(util::WriteStringToFile(path, payload).ok());
+  ASSERT_TRUE(util::WriteFileAtomically(path, payload).ok());
+  EXPECT_EQ(ReadAll(path), payload);
 
-  std::string back;
-  ASSERT_TRUE(util::ReadFileToString(path, &back).ok());
-  EXPECT_EQ(back, payload);
-
+  // A failed publish leaves the previous file whole.
   FaultPoints::Default().Arm("posix_io.open");
-  EXPECT_FALSE(util::ReadFileToString(path, &back).ok());
+  const util::Status open = util::WriteFileAtomically(path, "y");
+  EXPECT_EQ(open.code(), util::StatusCode::kNotFound);
   FaultPoints::Default().Disarm("posix_io.open");
+  EXPECT_EQ(ReadAll(path), payload);
 
-  // A short read must be detected, not handed to the caller as success.
-  FaultPoints::Default().Arm("posix_io.short_read");
-  const util::Status short_read = util::ReadFileToString(path, &back);
-  EXPECT_FALSE(short_read.ok());
-  EXPECT_EQ(short_read.code(), util::StatusCode::kInternal);
-  FaultPoints::Default().Disarm("posix_io.short_read");
-
+  // An injected device-full must be reported, not published short.
   FaultPoints::Default().Arm("posix_io.short_write");
-  EXPECT_FALSE(util::WriteStringToFile(path, payload).ok());
+  const util::Status short_write = util::WriteFileAtomically(path, "y");
+  EXPECT_EQ(short_write.code(), util::StatusCode::kInternal);
   FaultPoints::Default().Disarm("posix_io.short_write");
-  // The failed write truncated, but a clean retry works again.
-  ASSERT_TRUE(util::WriteStringToFile(path, payload).ok());
-  ASSERT_TRUE(util::ReadFileToString(path, &back).ok());
-  EXPECT_EQ(back, payload);
+  EXPECT_EQ(ReadAll(path), payload);
+
+  // A clean retry publishes.
+  ASSERT_TRUE(util::WriteFileAtomically(path, "y").ok());
+  EXPECT_EQ(ReadAll(path), "y");
 }
 
 TEST_F(FaultPointsTest, MmapInjectedFailures) {
   const std::string path = UniqueTempPath("fp_map.bin");
-  ASSERT_TRUE(util::WriteStringToFile(path, std::string(4096, 'm')).ok());
+  ASSERT_TRUE(util::WriteFileAtomically(path, std::string(4096, 'm')).ok());
 
   FaultPoints::Default().Arm("mmap_file.open");
   EXPECT_FALSE(util::MappedFile::Open(path).ok());
@@ -178,17 +182,26 @@ TEST_F(FaultPointsTest, MmapInjectedFailures) {
 
 TEST_F(FaultPointsTest, SketchFileIoSurvivesInjectedFaults) {
   xml::Document doc = data::MakeBibliography();
-  const core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
-  const std::string path = UniqueTempPath("fp_sketch.xsk2");
-  ASSERT_TRUE(core::SaveSketchToFile(sketch, path).ok());
+  const core::FrozenSynopsis frozen(core::TwigXSketch::Coarsest(doc));
+  const std::string path = UniqueTempPath("fp_sketch.xsk3");
 
-  FaultPoints::Default().Arm("posix_io.short_read");
-  xml::Document doc2 = data::MakeBibliography();
-  EXPECT_FALSE(core::LoadSketchFromFile(path, doc2).ok());
-  FaultPoints::Default().Disarm("posix_io.short_read");
+  FaultPoints::Default().Arm("posix_io.open");
+  EXPECT_FALSE(core::SaveFrozenToFile(frozen, path).ok());
+  FaultPoints::Default().Disarm("posix_io.open");
+  EXPECT_FALSE(core::LoadFrozenFile(path).ok());  // nothing published
 
-  auto loaded = core::LoadSketchFromFile(path, doc2);
+  ASSERT_TRUE(core::SaveFrozenToFile(frozen, path).ok());
+  const std::string published = ReadAll(path);
+
+  // A republish that fails mid-write keeps the published sketch loadable.
+  FaultPoints::Default().Arm("posix_io.short_write");
+  EXPECT_FALSE(core::SaveFrozenToFile(frozen, path).ok());
+  FaultPoints::Default().Disarm("posix_io.short_write");
+  EXPECT_EQ(ReadAll(path), published);
+
+  auto loaded = core::LoadFrozenFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(core::SaveFrozen(*loaded.value()).value(), published);
 }
 
 // --- the headline: catalog load failure mid-hot-swap --------------------

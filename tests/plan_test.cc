@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -124,20 +125,33 @@ TEST(ExtractSubTwigTest, ExtractionMatchesExecutorLogicalRows) {
 
 // --- Golden plans over a fixed sketch ------------------------------------------------
 
+// A one-thread service over `sketch`: the planner's estimate source.
+std::unique_ptr<service::EstimationService> OneThreadService(
+    const core::TwigXSketch& sketch) {
+  service::ServiceOptions opts;
+  opts.num_threads = 1;
+  auto svc = service::EstimationService::Create(
+      std::make_shared<const core::FrozenSynopsis>(sketch), opts);
+  EXPECT_TRUE(svc.ok()) << svc.status().ToString();
+  return std::move(svc).value();
+}
+
 class PlannerGoldenTest : public ::testing::Test {
  protected:
   PlannerGoldenTest()
       : doc_(GoldenDoc()),
         sketch_(core::TwigXSketch::Coarsest(doc_)),
         estimator_(sketch_),
-        cards_(estimator_),
+        service_(OneThreadService(sketch_)),
+        cards_(*service_),
         exact_(doc_),
         exact_cards_(exact_) {}
 
   xml::Document doc_;
   core::TwigXSketch sketch_;
-  core::Estimator estimator_;
-  EstimatorCardinalities cards_;
+  core::Estimator estimator_;  // reference estimates for the assertions
+  std::unique_ptr<service::EstimationService> service_;
+  ServiceCardinalities cards_;
   query::ExactEvaluator exact_;
   ExactCardinalities exact_cards_;
 };

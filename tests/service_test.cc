@@ -90,14 +90,14 @@ TEST(EstimationServiceTest, CreateValidatesOptions) {
   ServiceOptions bad;
   bad.num_threads = -2;
   auto svc = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), bad);
+      Freeze(core::TwigXSketch::Coarsest(XMarkDoc())), bad);
   ASSERT_FALSE(svc.ok());
   EXPECT_EQ(svc.status().code(), util::StatusCode::kInvalidArgument);
 
   ServiceOptions bad_est;
   bad_est.estimator.max_descendant_paths = 0;
   auto svc2 = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), bad_est);
+      Freeze(core::TwigXSketch::Coarsest(XMarkDoc())), bad_est);
   ASSERT_FALSE(svc2.ok());
   EXPECT_EQ(svc2.status().code(), util::StatusCode::kInvalidArgument);
 }
@@ -112,7 +112,7 @@ TEST(EstimationServiceTest, BatchMatchesSequentialBitIdentical) {
   for (int threads : {1, 4, 8}) {
     ServiceOptions opts;
     opts.num_threads = threads;
-    auto svc = EstimationService::Create(sketch, opts);
+    auto svc = EstimationService::Create(Freeze(sketch), opts);
     ASSERT_TRUE(svc.ok()) << svc.status().ToString();
 
     BatchStats stats;
@@ -151,7 +151,7 @@ TEST(EstimationServiceTest, BatchStatsAggregates) {
   ServiceOptions opts;
   opts.num_threads = 4;
   auto svc = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), opts);
+      Freeze(core::TwigXSketch::Coarsest(XMarkDoc())), opts);
   ASSERT_TRUE(svc.ok());
 
   BatchStats stats;
@@ -181,7 +181,7 @@ TEST(EstimationServiceTest, OverlappingBatchesReportOwnPlanCacheStats) {
   ServiceOptions opts;
   opts.num_threads = 2;
   auto svc = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), opts);
+      Freeze(core::TwigXSketch::Coarsest(XMarkDoc())), opts);
   ASSERT_TRUE(svc.ok());
 
   constexpr int kCallers = 2;
@@ -216,7 +216,7 @@ TEST(EstimationServiceTest, MalformedQueriesFailPerQueryNotPerBatch) {
   ServiceOptions opts;
   opts.num_threads = 2;
   auto svc = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), opts);
+      Freeze(core::TwigXSketch::Coarsest(XMarkDoc())), opts);
   ASSERT_TRUE(svc.ok());
 
   BatchStats stats;
@@ -232,7 +232,8 @@ TEST(EstimationServiceTest, MalformedQueriesFailPerQueryNotPerBatch) {
 
 TEST(EstimationServiceTest, EmptyBatch) {
   auto svc =
-      EstimationService::Create(core::TwigXSketch::Coarsest(XMarkDoc()));
+      EstimationService::Create(
+          Freeze(core::TwigXSketch::Coarsest(XMarkDoc())));
   ASSERT_TRUE(svc.ok());
   BatchStats stats;
   auto results = svc.value()->EstimateBatch({}, &stats);
@@ -248,7 +249,7 @@ TEST(EstimationServiceTest, OneThreadServiceRunsBatchesOnTheCaller) {
   ServiceOptions one;
   one.num_threads = 1;
   auto inline_svc = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), one);
+      Freeze(core::TwigXSketch::Coarsest(XMarkDoc())), one);
   ASSERT_TRUE(inline_svc.ok());
   EXPECT_EQ(inline_svc.value()->num_threads(), 1);
   EXPECT_EQ(ProcessThreadCount(), threads_before);
@@ -256,7 +257,7 @@ TEST(EstimationServiceTest, OneThreadServiceRunsBatchesOnTheCaller) {
   ServiceOptions four;
   four.num_threads = 4;
   auto pooled = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), four);
+      Freeze(core::TwigXSketch::Coarsest(XMarkDoc())), four);
   ASSERT_TRUE(pooled.ok());
   const auto got = inline_svc.value()->EstimateBatch(queries);
   const auto want = pooled.value()->EstimateBatch(queries);
@@ -339,7 +340,7 @@ TEST(SharedPathCacheTest, ConcurrentBatchesShareOneCache) {
   ServiceOptions opts;
   opts.num_threads = 8;
   auto svc = EstimationService::Create(
-      core::TwigXSketch::Coarsest(XMarkDoc()), opts);
+      Freeze(core::TwigXSketch::Coarsest(XMarkDoc())), opts);
   ASSERT_TRUE(svc.ok());
 
   auto first = svc.value()->EstimateBatch(queries);

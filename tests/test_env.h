@@ -1,5 +1,6 @@
 // Per-process test environment helpers: scratch file paths, the process
-// thread count, and counter series values in the default registry.
+// thread count, counter series values in the default registry, and the
+// frozen form services serve.
 //
 // ctest runs every gtest case in its own process, several at a time. A
 // fixed name under TempDir() lets one process rewrite a file that another
@@ -16,9 +17,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <string_view>
 
+#include "core/frozen.h"
 #include "obs/metrics.h"
 
 namespace xsketch {
@@ -52,6 +55,12 @@ inline uint64_t CounterSeries(std::string_view name) {
     if (m.name == name) return m.counter_value;
   }
   return 0;
+}
+
+// `sketch` frozen on the heap: what an EstimationService serves.
+inline std::shared_ptr<const core::FrozenSynopsis> Freeze(
+    const core::TwigXSketch& sketch) {
+  return std::make_shared<const core::FrozenSynopsis>(sketch);
 }
 
 }  // namespace xsketch

@@ -23,6 +23,7 @@
 #include "obs/trace.h"
 #include "query/xpath_parser.h"
 #include "service/estimation_service.h"
+#include "test_env.h"
 
 namespace xsketch {
 namespace {
@@ -290,9 +291,9 @@ TEST_F(TraceTest, ServiceTracingNeverPerturbsEstimates) {
 
   service::ServiceOptions opts;
   opts.num_threads = 2;
-  auto plain = service::EstimationService::Create(sketch, opts);
+  auto plain = service::EstimationService::Create(Freeze(sketch), opts);
   ASSERT_TRUE(plain.ok());
-  auto traced = service::EstimationService::Create(sketch, opts);
+  auto traced = service::EstimationService::Create(Freeze(sketch), opts);
   ASSERT_TRUE(traced.ok());
 
   const auto a = plain.value()->EstimateBatch(queries);
@@ -332,7 +333,7 @@ TEST_F(TraceTest, ForcedRootTracesBatchAsOneTree) {
   service::ServiceOptions opts;
   opts.num_threads = 4;
   auto svc = service::EstimationService::Create(
-      core::TwigXSketch::Coarsest(doc), opts);
+      Freeze(core::TwigXSketch::Coarsest(doc)), opts);
   ASSERT_TRUE(svc.ok());
 
   obs::Tracer& tracer = obs::Tracer::Default();
@@ -394,7 +395,7 @@ TEST_F(TraceTest, ServiceRateZeroRecordsNothing) {
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   service::ServiceOptions opts;
   opts.num_threads = 2;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(Freeze(sketch), opts);
   ASSERT_TRUE(svc.ok());
   const std::vector<query::TwigQuery> queries = BibQueries(doc);
   for (const auto& r : svc.value()->EstimateBatch(queries)) {
@@ -516,7 +517,7 @@ TEST_F(FlightTest, ServiceRecordsEveryBatchQuery) {
   service::ServiceOptions opts;  // the flight recorder is always on
   opts.num_threads = 2;
   opts.sketch_generation = 7;
-  auto svc = service::EstimationService::Create(sketch, opts);
+  auto svc = service::EstimationService::Create(Freeze(sketch), opts);
   ASSERT_TRUE(svc.ok());
   const auto results = svc.value()->EstimateBatch(queries);
 
@@ -612,7 +613,7 @@ TEST_F(TraceTest, BatchLatencyExemplarLinksToTrace) {
   core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
   service::ServiceOptions opts;
   opts.num_threads = 2;
-  auto svc = service::EstimationService::Create(std::move(sketch), opts);
+  auto svc = service::EstimationService::Create(Freeze(sketch), opts);
   ASSERT_TRUE(svc.ok());
 
   obs::Histogram& lat = obs::MetricsRegistry::Default().GetHistogram(

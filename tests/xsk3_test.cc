@@ -2,8 +2,8 @@
 // bit-identity (mmap path included), exhaustive truncation and bit-flip
 // sweeps over the on-disk image, header-patch rejection, the mmap-backed
 // SketchCatalog (LRU budget, hot swap, generation pinning, stats), the
-// frozen-only Session, plan-cache key injectivity, and the XSK2 file I/O
-// hardening.
+// mapped Session (Explain included), plan-cache key injectivity, and
+// on-disk file errors.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/frozen_io.h"
-#include "core/serialize.h"
 #include "core/xsk3_format.h"
 #include "data/figures.h"
 #include "data/xmark.h"
@@ -117,9 +116,7 @@ void ExpectBitIdenticalPrograms(const core::TwigXSketch& sketch,
   // Through the mmap path: write to disk, map, load.
   const std::string path = UniqueTempPath("roundtrip.xsk3");
   ASSERT_TRUE(core::SaveFrozenToFile(*frozen, path).ok());
-  core::FrozenLoadOptions opts;
-  opts.verify_checksums = true;
-  auto loaded = core::LoadFrozenFile(path, opts);
+  auto loaded = core::LoadFrozenFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ(loaded.value()->node_count(), frozen->node_count());
@@ -175,7 +172,7 @@ TEST(Xsk3RoundTripTest, MaxBucketSketch) {
   ExpectBitIdenticalPrograms(core::TwigXSketch::Coarsest(doc, copts), doc);
 }
 
-// --- frozen-only Session -------------------------------------------------
+// --- mapped Session ------------------------------------------------------
 
 TEST(Xsk3SessionTest, OpenMappedMatchesHeapSession) {
   xml::Document doc = data::GenerateXMark({.seed = 42, .scale = 0.05});
@@ -188,8 +185,6 @@ TEST(Xsk3SessionTest, OpenMappedMatchesHeapSession) {
   auto mapped = api::Session::OpenMapped(path);
   ASSERT_TRUE(heap.ok());
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_TRUE(heap.value().has_sketch());
-  EXPECT_FALSE(mapped.value().has_sketch());
 
   const auto queries = SomeQueries(doc, 24);
   for (const auto& q : queries) {
@@ -213,10 +208,20 @@ TEST(Xsk3SessionTest, OpenMappedMatchesHeapSession) {
   auto pq = mapped.value().Prepare("//item");
   EXPECT_TRUE(pq.ok()) << pq.status().ToString();
 
-  // Explain needs a sketch to interpret.
-  obs::ExplainTrace trace;
-  auto ex = mapped.value().Explain(queries.front(), &trace);
-  EXPECT_FALSE(ex.ok());
+  // Explain runs on the mapped session's compiled programs: the trace
+  // root, its recomputed tree and the returned estimate all equal
+  // Execute() bit for bit, and the heap session explains identically.
+  for (const auto& q : queries) {
+    obs::ExplainTrace trace, heap_trace;
+    auto ex = mapped.value().Explain(q, &trace);
+    ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+    const double plain = mapped.value().Prepare(q).value().Execute();
+    EXPECT_TRUE(BitEqual(ex.value().estimate, plain));
+    EXPECT_TRUE(BitEqual(trace.estimate(), plain));
+    EXPECT_TRUE(BitEqual(trace.Recompute(), plain));
+    ASSERT_TRUE(heap.value().Explain(q, &heap_trace).ok());
+    EXPECT_EQ(trace.ToJson(), heap_trace.ToJson());
+  }
 
   // A PreparedQuery pins the mapping: drop the session, keep executing.
   auto pinned = mapped.value().Prepare(queries.front());
@@ -224,18 +229,6 @@ TEST(Xsk3SessionTest, OpenMappedMatchesHeapSession) {
   mapped = util::Status::InvalidArgument("released");
   const double after = pinned.value().Execute();
   EXPECT_TRUE(std::isfinite(after));
-}
-
-TEST(Xsk3SessionTest, FrozenServiceRejectsAudit) {
-  xml::Document doc = data::MakeBibliography();
-  core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
-  const auto frozen = std::make_shared<const core::FrozenSynopsis>(sketch);
-
-  service::ServiceOptions audit;
-  audit.audit_fraction = 0.5;
-  EXPECT_FALSE(service::EstimationService::Create(frozen, audit).ok());
-
-  EXPECT_TRUE(service::EstimationService::Create(frozen, {}).ok());
 }
 
 // Republishing a sketch file that a process has mapped: the file is
@@ -320,19 +313,18 @@ TEST(Xsk3HardeningTest, BitFlipSweep) {
   ASSERT_TRUE(ref_plan.ok());
   const double ref_estimate = ref_plan.value()->Execute();
 
-  core::FrozenLoadOptions checked;
-  checked.verify_checksums = true;
   std::string mutated = image;
   size_t accepted = 0;
   for (size_t byte = 0; byte < image.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       mutated[byte] = static_cast<char>(image[byte] ^ (1 << bit));
-      // With checksums on, a flip may only survive in inter-section
-      // alignment padding (not covered by any CRC) — and padding never
-      // feeds the arithmetic, so a surviving load must be semantically
-      // identical. Everything else must be rejected. Either way: no
-      // crash, no OOB (ASan/UBSan builds make that assertion real).
-      auto r = core::LoadFrozenFromBytes(mutated, checked);
+      // Every load verifies checksums, so a flip may only survive in
+      // inter-section alignment padding (not covered by any CRC) — and
+      // padding never feeds the arithmetic, so a surviving load must be
+      // semantically identical. Everything else must be rejected. Either
+      // way: no crash, no OOB (ASan/UBSan builds make that assertion
+      // real).
+      auto r = core::LoadFrozenFromBytes(mutated);
       if (r.ok()) {
         ++accepted;
         const core::TwigCompiler c(r.value());
@@ -341,9 +333,6 @@ TEST(Xsk3HardeningTest, BitFlipSweep) {
         EXPECT_TRUE(BitEqual(plan.value()->Execute(), ref_estimate))
             << "padding flip at byte " << byte << " changed an estimate";
       }
-      // Without checksum verification the loader still must not crash;
-      // structural validation decides acceptance.
-      (void)core::LoadFrozenFromBytes(mutated);
     }
     mutated[byte] = image[byte];
   }
@@ -658,35 +647,33 @@ TEST(PlanCacheKeyTest, DistinctTwigsNeverShareAnEntry) {
             twigs.size());
 }
 
-// --- XSK2 file I/O hardening (satellite) ---------------------------------
+// --- on-disk file errors ---------------------------------------------------
 
-TEST(Xsk2FileTest, TruncatedFileOnDiskIsAnError) {
-  xml::Document doc = data::MakeBibliography();
-  core::TwigXSketch sketch = core::TwigXSketch::Coarsest(doc);
-  const std::string bytes = core::SaveSketch(sketch);
-  const std::string path = UniqueTempPath("trunc.xsk2");
+TEST(Xsk3FileTest, TruncatedFileOnDiskIsAnError) {
+  const std::string bytes = SmallImage();
+  const std::string path = UniqueTempPath("trunc.xsk3");
 
   // Full file round-trips.
   WriteFile(path, bytes);
-  EXPECT_TRUE(core::LoadSketchFromFile(path, doc).ok());
+  EXPECT_TRUE(core::LoadFrozenFile(path).ok());
 
   // Any truncation on disk — including cutting exactly at the tail — is
   // a load error.
   for (const size_t keep :
        {bytes.size() - 1, bytes.size() / 2, bytes.size() / 4, size_t{8}}) {
     WriteFile(path, bytes.substr(0, keep));
-    EXPECT_FALSE(core::LoadSketchFromFile(path, doc).ok())
+    EXPECT_FALSE(core::LoadFrozenFile(path).ok())
         << "accepted a file truncated to " << keep << " bytes";
   }
 }
 
-TEST(Xsk2FileTest, UnreadablePathIsAnError) {
-  xml::Document doc = data::MakeBibliography();
-  // Reading a directory: open(2) succeeds on Linux but every read fails —
-  // the loader must surface an I/O error, not parse an empty buffer.
-  EXPECT_FALSE(core::LoadSketchFromFile(::testing::TempDir(), doc).ok());
-  EXPECT_FALSE(
-      core::LoadSketchFromFile(UniqueTempPath("nope.xsk2"), doc).ok());
+TEST(Xsk3FileTest, UnreadablePathIsAnError) {
+  // A directory cannot be mapped as sketch storage, and a missing path is
+  // NotFound — neither reaches the image parser.
+  EXPECT_FALSE(core::LoadFrozenFile(::testing::TempDir()).ok());
+  auto missing = core::LoadFrozenFile(UniqueTempPath("nope.xsk3"));
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), util::StatusCode::kNotFound);
 }
 
 }  // namespace
