@@ -26,8 +26,9 @@
 // the compiled path regresses below the speedup gate; (2) the tracing
 // overhead gate: the compiled row with tracing instrumentation present
 // but unsampled must stay within XS_BENCH_TRACE_MAX_OVERHEAD (default 2%)
-// of the uninstrumented loop — the no-op SpanScope is one thread-local
-// read plus a branch, and this gate keeps it that way.
+// of the uninstrumented loop (median of order-alternated paired
+// repetitions) — the no-op SpanScope is one thread-local read plus a
+// branch, and this gate keeps it that way.
 //
 // The full run also prints a "traced" row: the 4-thread service batch run
 // under a forced trace root (Tracer::ForceTrace), so every query records
@@ -46,6 +47,7 @@
 #include "obs/trace.h"
 #include "query/xpath_parser.h"
 #include "service/estimation_service.h"
+#include "util/percentiles.h"
 
 namespace {
 
@@ -173,42 +175,61 @@ int main(int argc, char** argv) {
   if (delta) {
     // Tracing overhead gate: the same execute-only loop with an unsampled
     // SpanScope around every query must stay within the overhead budget
-    // of the bare loop. Both variants are re-timed here, interleaved and
-    // with the workload repeated per timed pass, so the comparison sees
-    // the same cache state and enough work for the clock to resolve.
+    // of the bare loop. Both variants are re-timed here with the workload
+    // repeated per timed pass, so the clock resolves them. Each repetition
+    // times one plain and one traced pass back to back, in alternating
+    // order (ABBA), so neither variant always runs second on a warmer (or
+    // a more contended) machine; the gate reads the median of the paired
+    // per-repetition overheads, which a few noisy pairs cannot move. A
+    // repetition takes about a millisecond, so 31 of them stay cheap.
     const double max_overhead =
         bench::EnvDouble("XS_BENCH_TRACE_MAX_OVERHEAD", 0.02);
     constexpr int kPasses = 20;
-    double plain_best = 0.0, traced_off_best = 0.0;
+    constexpr int kRepetitions = 31;
+    std::vector<double> plain_qps, traced_qps, pair_overhead;
     {
       std::vector<double> out(queries.size());
       core::ExecScratch scratch;
       const double per_pass = static_cast<double>(queries.size()) * kPasses;
-      for (int r = 0; r < 7; ++r) {
-        Clock::time_point start = Clock::now();
+      // One instantiation per loop body, so neither loop carries a
+      // branch the other lacks.
+      auto time_pass = [&](auto execute_one) {
+        const Clock::time_point start = Clock::now();
         for (int p = 0; p < kPasses; ++p) {
-          for (size_t i = 0; i < queries.size(); ++i) {
-            out[i] = plans[i]->Execute(scratch);
-          }
+          for (size_t i = 0; i < queries.size(); ++i) execute_one(i);
         }
-        plain_best = std::max(plain_best, per_pass / SecondsSince(start));
-        start = Clock::now();
-        for (int p = 0; p < kPasses; ++p) {
-          for (size_t i = 0; i < queries.size(); ++i) {
-            obs::SpanScope span(obs::Stage::kExecute);
-            out[i] = plans[i]->Execute(scratch);
-          }
+        return per_pass / SecondsSince(start);
+      };
+      auto plain_pass = [&] {
+        return time_pass(
+            [&](size_t i) { out[i] = plans[i]->Execute(scratch); });
+      };
+      auto traced_pass = [&] {
+        return time_pass([&](size_t i) {
+          obs::SpanScope span(obs::Stage::kExecute);
+          out[i] = plans[i]->Execute(scratch);
+        });
+      };
+      for (int r = 0; r < kRepetitions; ++r) {
+        double plain, traced;
+        if (r % 4 == 0 || r % 4 == 3) {
+          plain = plain_pass();
+          traced = traced_pass();
+        } else {
+          traced = traced_pass();
+          plain = plain_pass();
         }
-        traced_off_best =
-            std::max(traced_off_best, per_pass / SecondsSince(start));
+        plain_qps.push_back(plain);
+        traced_qps.push_back(traced);
+        pair_overhead.push_back(1.0 - traced / plain);
       }
     }
-    const double overhead =
-        plain_best > 0.0 ? 1.0 - traced_off_best / plain_best : 0.0;
+    const double overhead = util::Percentile(pair_overhead, 0.50);
     std::printf(
-        "bench_trace: untraced %.0f q/s, tracing-off %.0f q/s "
-        "(overhead %.2f%%, gate <= %.2f%%)\n",
-        plain_best, traced_off_best, overhead * 100.0, max_overhead * 100.0);
+        "bench_trace: untraced %.0f q/s, tracing-off %.0f q/s (medians; "
+        "median paired overhead %.2f%%, gate <= %.2f%%)\n",
+        util::Percentile(plain_qps, 0.50), util::Percentile(traced_qps, 0.50),
+        overhead * 100.0, max_overhead * 100.0);
     if (overhead > max_overhead) {
       std::fprintf(stderr,
                    "bench_trace FAILED: tracing-off overhead %.2f%% exceeds "

@@ -104,10 +104,15 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "%2d threads   %8.0f ms   %5.2fx   %3d refinements   "
-        "scoring p50 %6.1f ms  p95 %6.1f ms   err %.3f   %s\n",
+        "scoring p50 %6.1f ms  p95 %6.1f ms   err %.3f   %s\n"
+        "             %lld scored, %lld sample estimates rerun; tasks: "
+        "copy %.0f ms  apply %.0f ms  rescore %.0f ms\n",
         threads, stats.wall_ms, baseline_ms / stats.wall_ms,
         stats.iterations, stats.scoring_p50_ms, stats.scoring_p95_ms,
-        stats.final_error, identical ? "bit-identical" : "MISMATCH");
+        stats.final_error, identical ? "bit-identical" : "MISMATCH",
+        static_cast<long long>(stats.candidates_scored),
+        static_cast<long long>(stats.queries_rescored), stats.copy_ms,
+        stats.apply_ms, stats.rescore_ms);
     if (!identical) return 1;
   }
   if (smoke) std::printf("perf_build --smoke OK\n");

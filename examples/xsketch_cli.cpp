@@ -479,14 +479,16 @@ int main(int argc, char** argv) {
                 argv[3]);
     std::printf(
         "build: %d refinements on %d threads in %.0f ms; "
-        "%lld candidates (%lld applicable, %lld scored)\n"
-        "scoring/iteration p50 %.1f ms, p95 %.1f ms; "
+        "%lld candidates (%lld scored, %lld sample estimates rerun)\n"
+        "scoring tasks: copy %.1f ms, apply %.1f ms, rescore %.1f ms; "
+        "per iteration p50 %.1f ms, p95 %.1f ms\n"
         "final sample-workload error %.3f\n",
         bstats.iterations, bstats.num_threads, bstats.wall_ms,
         static_cast<long long>(bstats.candidates_generated),
-        static_cast<long long>(bstats.candidates_applicable),
         static_cast<long long>(bstats.candidates_scored),
-        bstats.scoring_p50_ms, bstats.scoring_p95_ms, bstats.final_error);
+        static_cast<long long>(bstats.queries_rescored), bstats.copy_ms,
+        bstats.apply_ms, bstats.rescore_ms, bstats.scoring_p50_ms,
+        bstats.scoring_p95_ms, bstats.final_error);
     std::printf("accepted:");
     for (int k = 0; k < core::BuildStats::kNumKinds; ++k) {
       std::printf(" %s %lld",

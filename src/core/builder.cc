@@ -1,6 +1,7 @@
 #include "core/builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -19,9 +20,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+double Millis(Clock::time_point start, Clock::time_point end) {
+  return std::chrono::duration<double, std::milli>(end - start).count();
+}
+
 double MillisSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
+  return Millis(start, Clock::now());
 }
 
 // Elements of v whose parent lies in u (b-stabilize split set).
@@ -57,7 +61,8 @@ bool ProperSubset(size_t subset, size_t total) {
 
 }  // namespace
 
-bool ApplyRefinement(TwigXSketch* sketch, const Refinement& r) {
+bool ApplyRefinement(TwigXSketch* sketch, const Refinement& r,
+                     std::vector<SynNodeId>* changed) {
   const Synopsis& syn = sketch->synopsis();
   switch (r.kind) {
     case Refinement::Kind::kBStabilize: {
@@ -69,7 +74,7 @@ bool ApplyRefinement(TwigXSketch* sketch, const Refinement& r) {
       if (!ProperSubset(subset.size(), syn.Extent(r.node).size())) {
         return false;
       }
-      sketch->SplitNode(r.node, subset);
+      sketch->SplitNode(r.node, subset, changed);
       return true;
     }
     case Refinement::Kind::kFStabilize: {
@@ -80,7 +85,7 @@ bool ApplyRefinement(TwigXSketch* sketch, const Refinement& r) {
       if (!ProperSubset(subset.size(), syn.Extent(r.node).size())) {
         return false;
       }
-      sketch->SplitNode(r.node, subset);
+      sketch->SplitNode(r.node, subset, changed);
       return true;
     }
     case Refinement::Kind::kEdgeRefine: {
@@ -89,21 +94,25 @@ bool ApplyRefinement(TwigXSketch* sketch, const Refinement& r) {
       // Pointless once the histogram is exact (buckets < budget).
       if (s.hist.bucket_count() < s.bucket_budget) return false;
       sketch->RefineEdgeHistogram(r.node);
-      return true;
+      break;
     }
     case Refinement::Kind::kEdgeExpand:
-      return sketch->ExpandScope(r.node, r.ref);
+      if (!sketch->ExpandScope(r.node, r.ref)) return false;
+      break;
     case Refinement::Kind::kValueRefine: {
       const NodeSummary& s = sketch->summary(r.node);
       if (s.values.empty()) return false;
       if (s.values.bucket_count() < s.value_bucket_budget) return false;
       sketch->RefineValueHistogram(r.node);
-      return true;
+      break;
     }
     case Refinement::Kind::kValueExpand:
-      return sketch->ExpandValueScope(r.node, r.ref);
+      if (!sketch->ExpandValueScope(r.node, r.ref)) return false;
+      break;
   }
-  return false;
+  // Histogram refinements change only the refined node's summary.
+  if (changed != nullptr) changed->push_back(r.node);
+  return true;
 }
 
 const char* RefinementKindName(Refinement::Kind kind) {
@@ -140,6 +149,99 @@ double XBuild::WorkloadError(const TwigXSketch& sketch,
   }
   return query::AvgRelativeError(workload, estimates,
                                  workload.SanityBound());
+}
+
+namespace {
+
+// True if the sorted sets `a` and `b` share an element.
+bool Intersects(const std::vector<SynNodeId>& a,
+                const std::vector<SynNodeId>& b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (*i == *j) return true;
+    if (*i < *j) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+// True if some step below the twig root uses '//'.
+bool HasInnerDescendantStep(const query::TwigQuery& twig) {
+  for (int t = 0; t < twig.size(); ++t) {
+    if (t != twig.root() && twig.node(t).axis == query::Axis::kDescendant) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+SampleScorer::SampleScorer(const TwigXSketch& sketch,
+                           const query::Workload& workload,
+                           const EstimatorOptions& options)
+    : workload_(workload),
+      options_(options),
+      sanity_bound_(workload.SanityBound()),
+      backward_dims_(sketch.HasBackwardDims()) {
+  const size_t n = workload.queries.size();
+  always_rescore_.resize(n);
+  estimates_.resize(n);
+  reads_.resize(n);
+  Estimator estimator(sketch, options_);
+  for (size_t q = 0; q < n; ++q) {
+    always_rescore_[q] = HasInnerDescendantStep(workload.queries[q].twig);
+    estimates_[q] =
+        estimator.EstimateWithReads(workload.queries[q].twig, &reads_[q]);
+  }
+  error_ = query::AvgRelativeError(workload_, estimates_, sanity_bound_);
+}
+
+SampleScorer::Trial SampleScorer::Score(
+    const TwigXSketch& trial, std::vector<SynNodeId> changed) const {
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  Trial out;
+  out.backward_dims = trial.HasBackwardDims();
+  // enumerate_all follows HasBackwardDims(): a flip changes every query.
+  const bool all = out.backward_dims != backward_dims_;
+  out.estimates = estimates_;
+  std::optional<Estimator> estimator;
+  for (size_t q = 0; q < estimates_.size(); ++q) {
+    if (!all && !always_rescore_[q] && !Intersects(reads_[q], changed)) {
+      continue;
+    }
+    if (!estimator) estimator.emplace(trial, options_);
+    out.reads.emplace_back(q, std::vector<SynNodeId>());
+    out.estimates[q] = estimator->EstimateWithReads(
+        workload_.queries[q].twig, &out.reads.back().second);
+  }
+  out.error = query::AvgRelativeError(workload_, out.estimates,
+                                      sanity_bound_);
+  return out;
+}
+
+void SampleScorer::Accept(Trial trial) {
+  error_ = trial.error;
+  estimates_ = std::move(trial.estimates);
+  backward_dims_ = trial.backward_dims;
+  for (auto& [q, reads] : trial.reads) reads_[q] = std::move(reads);
+}
+
+query::Workload XBuild::SampleWorkload() const {
+  // Exact true counts; the seed is derived from the build's.
+  query::WorkloadOptions wopts;
+  wopts.seed = options_.seed ^ 0x5eedf00dULL;
+  wopts.num_queries = options_.sample_queries;
+  wopts.min_nodes = 3;
+  wopts.max_nodes = 6;
+  wopts.existential_prob = options_.sample_existential_prob;
+  wopts.value_pred_fraction = options_.sample_value_pred_fraction;
+  return query::GeneratePositiveWorkload(doc_, wopts);
 }
 
 std::vector<Refinement> XBuild::GenerateCandidates(const TwigXSketch& sketch,
@@ -278,26 +380,26 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
   TwigXSketch sketch = TwigXSketch::Coarsest(doc_, options_.coarsest);
   util::Rng rng(options_.seed);
 
-  // Sample workload for marginal-gain scoring; true counts are exact.
-  query::WorkloadOptions wopts;
-  wopts.seed = options_.seed ^ 0x5eedf00dULL;
-  wopts.num_queries = options_.sample_queries;
-  wopts.min_nodes = 3;
-  wopts.max_nodes = 6;
-  wopts.existential_prob = options_.sample_existential_prob;
-  wopts.value_pred_fraction = options_.sample_value_pred_fraction;
-  const query::Workload sample = query::GeneratePositiveWorkload(doc_, wopts);
+  // Sample workload for marginal-gain scoring, and its error on the
+  // current sketch (the base every candidate is scored against).
+  const query::Workload sample = SampleWorkload();
+  std::optional<SampleScorer> scorer;
+  if (options_.score_candidates) {
+    scorer.emplace(sketch, sample, options_.estimator);
+  }
 
   // Candidate scoring is embarrassingly parallel: every trial starts from
-  // a private copy of the current sketch and the sample workload is
-  // read-only. The workload-oblivious ablation takes the first applicable
-  // candidate without scoring, so there is nothing to fan out there.
+  // a private copy of the current sketch, and the sample workload and the
+  // scorer's base are read-only. The calling thread scores too, next to
+  // num_threads - 1 pool workers. The workload-oblivious ablation takes
+  // the first applicable candidate without scoring, so there is nothing
+  // to fan out there.
   const int num_threads = options_.num_threads > 0
                               ? options_.num_threads
                               : util::ThreadPool::HardwareThreads();
   std::unique_ptr<util::ThreadPool> workers;
   if (options_.score_candidates && num_threads > 1) {
-    workers = std::make_unique<util::ThreadPool>(num_threads);
+    workers = std::make_unique<util::ThreadPool>(num_threads - 1);
   }
 
   BuildStats agg;
@@ -309,9 +411,11 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
   // the accepted refinement never depends on scheduling.
   struct Scored {
     bool applicable = false;
-    double error_after = 0.0;
     size_t size_after = 0;
-    std::optional<TwigXSketch> trial;
+    SampleScorer::Trial scored;
+    double copy_ms = 0.0;
+    double apply_ms = 0.0;
+    double rescore_ms = 0.0;
   };
 
   int stall = 0;
@@ -331,7 +435,6 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
         TwigXSketch trial = sketch;
         if (!ApplyRefinement(&trial, r)) continue;
         if (trial.SizeBytes() <= size_before) continue;
-        ++agg.candidates_applicable;
         sketch = std::move(trial);
         ++agg.iterations;
         ++agg.accepted_by_kind[static_cast<size_t>(r.kind)];
@@ -348,44 +451,64 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
     }
 
     const Clock::time_point scoring_start = Clock::now();
-    double error_before = 0.0;
     std::vector<Scored> scored(candidates.size());
     auto score_one = [&](size_t i) {
-      TwigXSketch trial = sketch;
-      if (!ApplyRefinement(&trial, candidates[i])) return;
-      const size_t size_after = trial.SizeBytes();
-      if (size_after <= size_before) return;
-      scored[i].applicable = true;
-      scored[i].error_after =
-          WorkloadError(trial, sample, options_.estimator);
-      scored[i].size_after = size_after;
-      scored[i].trial.emplace(std::move(trial));
+      Scored& slot = scored[i];
+      const Clock::time_point copy_start = Clock::now();
+      std::optional<TwigXSketch> trial(sketch);
+      const Clock::time_point apply_start = Clock::now();
+      std::vector<SynNodeId> changed;
+      const bool applied = ApplyRefinement(&*trial, candidates[i], &changed);
+      const size_t size_after = trial->SizeBytes();
+      Clock::time_point end = Clock::now();
+      slot.apply_ms = Millis(apply_start, end);
+      if (applied && size_after > size_before) {
+        slot.applicable = true;
+        slot.size_after = size_after;
+        slot.scored = scorer->Score(*trial, std::move(changed));
+        const Clock::time_point rescore_end = Clock::now();
+        slot.rescore_ms = Millis(end, rescore_end);
+        end = rescore_end;
+      }
+      // The trial dies here, in its task; the copy's cost includes the
+      // free.
+      trial.reset();
+      slot.copy_ms = Millis(copy_start, apply_start) + MillisSince(end);
+    };
+    // Every scoring thread, the calling one included, claims the next
+    // unscored candidate until none is left: a task is short, and a
+    // worker that wakes late finds the work already done.
+    std::atomic<size_t> next{0};
+    auto drain = [&] {
+      for (size_t i; (i = next.fetch_add(1)) < candidates.size();) {
+        score_one(i);
+      }
     };
     if (workers) {
       util::TaskGroup group(workers.get());
-      group.Submit([&] {
-        error_before = WorkloadError(sketch, sample, options_.estimator);
-      });
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        group.Submit([&, i] { score_one(i); });
-      }
+      for (int w = 0; w < workers->num_threads(); ++w) group.Submit(drain);
+      drain();
       group.Wait();
     } else {
-      error_before = WorkloadError(sketch, sample, options_.estimator);
-      for (size_t i = 0; i < candidates.size(); ++i) score_one(i);
+      drain();
     }
     scoring_ms.push_back(MillisSince(scoring_start));
     m_scoring_ms.Observe(scoring_ms.back());
 
     // Deterministic reduction: best gain wins, earliest candidate on ties.
+    const double error_before = scorer->error();
     int best_i = -1;
     double best_gain = -std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < scored.size(); ++i) {
+      agg.copy_ms += scored[i].copy_ms;
+      agg.apply_ms += scored[i].apply_ms;
+      agg.rescore_ms += scored[i].rescore_ms;
       if (!scored[i].applicable) continue;
-      ++agg.candidates_applicable;
       ++agg.candidates_scored;
+      agg.queries_rescored +=
+          static_cast<int64_t>(scored[i].scored.reads.size());
       const double gain =
-          (error_before - scored[i].error_after) /
+          (error_before - scored[i].scored.error) /
           static_cast<double>(scored[i].size_after - size_before);
       if (best_i < 0 || gain > best_gain) {
         best_gain = gain;
@@ -397,10 +520,13 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
       continue;
     }
     stall = 0;
-    sketch = std::move(*scored[static_cast<size_t>(best_i)].trial);
+    // Applying the winner again gives its trial sketch (refinements are
+    // deterministic), so no task has to hand its copy over.
+    const Refinement& winner = candidates[static_cast<size_t>(best_i)];
+    XS_CHECK(ApplyRefinement(&sketch, winner));
+    scorer->Accept(std::move(scored[static_cast<size_t>(best_i)].scored));
     ++agg.iterations;
-    ++agg.accepted_by_kind[static_cast<size_t>(
-        candidates[static_cast<size_t>(best_i)].kind)];
+    ++agg.accepted_by_kind[static_cast<size_t>(winner.kind)];
     if (on_step) on_step(sketch, sketch.SizeBytes());
   }
 
@@ -408,16 +534,14 @@ TwigXSketch XBuild::Build(const StepCallback& on_step, BuildStats* stats) {
   m_scored.Increment(static_cast<uint64_t>(agg.candidates_scored));
   m_final_size.Set(static_cast<double>(sketch.SizeBytes()));
 
+  if (scorer) m_final_error.Set(scorer->error());
+
   if (stats != nullptr) {
     agg.scoring_p50_ms = util::Percentile(scoring_ms, 0.50);
     agg.scoring_p95_ms = util::Percentile(scoring_ms, 0.95);
     agg.wall_ms = MillisSince(build_start);
     agg.final_size_bytes = sketch.SizeBytes();
-    agg.final_error =
-        options_.score_candidates
-            ? WorkloadError(sketch, sample, options_.estimator)
-            : 0.0;
-    m_final_error.Set(agg.final_error);
+    agg.final_error = scorer ? scorer->error() : 0.0;
     *stats = agg;
   }
   return sketch;

@@ -7,6 +7,13 @@
 // sample twig workload, and applies the best one, until the space budget
 // is exhausted.
 //
+// A candidate costs what it changes. A split recounts only the edges
+// around the split node (Synopsis::SplitNode), and scoring re-estimates
+// only the sample queries whose estimate read a node the refinement
+// changed (SampleScorer); the other estimates carry over from the current
+// sketch. The scored error is bit for bit that of re-estimating the whole
+// sample, so the accepted refinement sequence is the same.
+//
 // Refinement operations:
 //   b-stabilize(u→v): split v by "has parent in u"  → new B-stable edge
 //   f-stabilize(u→v): split u by "has child in v"   → new F-stable edge
@@ -25,6 +32,8 @@
 
 #include <array>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "core/estimator.h"
 #include "core/twig_xsketch.h"
@@ -36,11 +45,12 @@ struct BuildOptions {
   size_t budget_bytes = 50 * 1024;
   uint64_t seed = 99;
 
-  // Worker threads scoring candidate refinements in parallel. 0 picks the
-  // hardware concurrency; 1 keeps everything on the calling thread. The
-  // built sketch is bit-identical at every thread count (each candidate is
-  // scored independently against the same base sketch, and ties break on
-  // candidate index).
+  // Threads scoring candidate refinements in parallel: the calling thread
+  // and num_threads - 1 pool workers. 0 picks the hardware concurrency; 1
+  // keeps everything on the calling thread. The built sketch is
+  // bit-identical at every thread count: each candidate is scored
+  // independently (its own sketch copy and re-estimated queries) against
+  // the same read-only base, and ties break on candidate index.
   int num_threads = 1;
 
   // Candidate refinements evaluated per iteration.
@@ -93,8 +103,12 @@ struct Refinement {
 
 // Applies `r` to `sketch`; returns false when inapplicable (e.g. the edge
 // became stable already, the subset is degenerate, or the scope already
-// contains the dimension).
-bool ApplyRefinement(TwigXSketch* sketch, const Refinement& r);
+// contains the dimension). When `r` applies and `changed` is non-null,
+// appends the nodes whose data `r` may have changed: for a split, the
+// nodes TwigXSketch::SplitNode reports; for every other kind, the refined
+// node.
+bool ApplyRefinement(TwigXSketch* sketch, const Refinement& r,
+                     std::vector<SynNodeId>* changed = nullptr);
 
 // Short display name of a refinement kind ("b-stabilize", "edge-refine", ...).
 const char* RefinementKindName(Refinement::Kind kind);
@@ -103,11 +117,22 @@ const char* RefinementKindName(Refinement::Kind kind);
 struct BuildStats {
   static constexpr int kNumKinds = 6;  // Refinement::Kind cardinality
 
-  int num_threads = 0;       // resolved scoring worker count
+  int num_threads = 0;       // resolved scoring thread count
   int iterations = 0;        // accepted refinements
   int64_t candidates_generated = 0;
-  int64_t candidates_applicable = 0;  // applied cleanly and grew the sketch
-  int64_t candidates_scored = 0;      // sample-workload evaluations of trials
+  // Candidates that applied cleanly, grew the sketch and were scored on
+  // the sample workload.
+  int64_t candidates_scored = 0;
+  // Sample-query estimates run to score candidates: each candidate
+  // re-estimates only the queries it can change.
+  int64_t queries_rescored = 0;
+  // Per-candidate scoring phases, summed over scoring tasks (work across
+  // all workers, not wall time): copying the current sketch (and freeing
+  // the copy), applying the refinement to the copy, and re-estimating the
+  // changed queries.
+  double copy_ms = 0.0;
+  double apply_ms = 0.0;
+  double rescore_ms = 0.0;
   // Accepted refinements by kind, indexed by Refinement::Kind.
   std::array<int64_t, kNumKinds> accepted_by_kind = {};
   // Per-iteration candidate-scoring wall time (the parallelized section).
@@ -118,6 +143,53 @@ struct BuildStats {
   // Final sketch error on the internal sample workload (the quantity the
   // greedy search minimizes); 0 when score_candidates is off.
   double final_error = 0.0;
+};
+
+// The sample-workload error of the sketch XBUILD is refining (the base),
+// kept per query: each query's estimate and the synopsis nodes it read
+// (Estimator::EstimateWithReads). A candidate re-estimates only the
+// queries whose read set meets the nodes its refinement changed, and
+// builds its error from the full per-query vector, so the result is bit
+// for bit XBuild::WorkloadError of the candidate. Every query is
+// re-estimated when the refinement flips HasBackwardDims(), and queries
+// with a '//' step below the root always are (their expansion reads
+// nodes the read set does not record).
+class SampleScorer {
+ public:
+  // One scored candidate; Accept() makes it the base.
+  struct Trial {
+    double error = 0.0;
+    std::vector<double> estimates;
+    bool backward_dims = false;
+    // The re-estimated queries with their new read sets.
+    std::vector<std::pair<size_t, std::vector<SynNodeId>>> reads;
+  };
+
+  // Estimates every query of `workload` on `sketch`, the first base. The
+  // workload must outlive the scorer.
+  SampleScorer(const TwigXSketch& sketch, const query::Workload& workload,
+               const EstimatorOptions& options);
+
+  // The base's error.
+  double error() const { return error_; }
+
+  // Scores `trial`: the base after a refinement that changed only the
+  // `changed` nodes (see ApplyRefinement). Safe to call concurrently.
+  Trial Score(const TwigXSketch& trial,
+              std::vector<SynNodeId> changed) const;
+
+  // Makes a trial scored against the current base the new base.
+  void Accept(Trial trial);
+
+ private:
+  const query::Workload& workload_;
+  EstimatorOptions options_;
+  double sanity_bound_;
+  std::vector<bool> always_rescore_;  // a '//' step below the root
+  double error_;
+  std::vector<double> estimates_;
+  std::vector<std::vector<SynNodeId>> reads_;
+  bool backward_dims_;
 };
 
 class XBuild {
@@ -134,16 +206,22 @@ class XBuild {
   TwigXSketch Build(const StepCallback& on_step = StepCallback(),
                     BuildStats* stats = nullptr);
 
-  // Average relative error of `sketch` on `workload` (exposed for benches
-  // and tests; uses the paper's sanity-bounded metric).
+  // Average relative error of `sketch` on `workload` by estimating every
+  // query (exposed for benches and tests; uses the paper's sanity-bounded
+  // metric). The full-rescore oracle SampleScorer must reproduce.
   static double WorkloadError(const TwigXSketch& sketch,
                               const query::Workload& workload,
                               const EstimatorOptions& options = {});
 
- private:
+  // The sample workload Build scores candidates on (exact true counts).
+  query::Workload SampleWorkload() const;
+
+  // One iteration's candidate refinements, sampled at nodes drawn with
+  // probability proportional to extent size and unstable degree.
   std::vector<Refinement> GenerateCandidates(const TwigXSketch& sketch,
                                              util::Rng& rng) const;
 
+ private:
   const xml::Document& doc_;
   BuildOptions options_;
 };

@@ -119,6 +119,15 @@ EstimateStats Estimator::EstimateWithTrace(const query::TwigQuery& twig,
   return stats;
 }
 
+double Estimator::EstimateWithReads(const query::TwigQuery& twig,
+                                    std::vector<SynNodeId>* reads) const {
+  reads->clear();
+  const double estimate = EstimateImpl(twig, nullptr, nullptr, reads);
+  std::sort(reads->begin(), reads->end());
+  reads->erase(std::unique(reads->begin(), reads->end()), reads->end());
+  return estimate;
+}
+
 util::Result<EstimateStats> Estimator::EstimateChecked(
     const query::TwigQuery& twig) const {
   if (util::Status st = twig.Validate(); !st.ok()) {
@@ -143,7 +152,8 @@ std::string Estimator::ChainLabel(SynNodeId from,
 
 double Estimator::EstimateImpl(const query::TwigQuery& twig,
                                EstimateStats* stats,
-                               obs::ExplainTrace* trace) const {
+                               obs::ExplainTrace* trace,
+                               std::vector<SynNodeId>* reads) const {
   metrics_.queries->Increment();
   if (twig.empty()) return 0.0;
   const auto& root = twig.node(twig.root());
@@ -153,6 +163,7 @@ double Estimator::EstimateImpl(const query::TwigQuery& twig,
   state.twig = &twig;
   state.stats = stats;
   state.trace = trace;
+  state.reads = reads;
   state.enumerate_all = sketch_.HasBackwardDims();
   state.memo_enabled =
       !state.enumerate_all && stats == nullptr && trace == nullptr;
@@ -173,6 +184,7 @@ double Estimator::EstimateImpl(const query::TwigQuery& twig,
   if (root.axis == query::Axis::kChild) {
     // Absolute '/tag': only the document root element can match.
     const SynNodeId n0 = syn.RootNode();
+    state.Read(n0);
     if (syn.node(n0).tag == root.tag) {
       if (tr != nullptr) {
         tr->Open(obs::ExplainOp::kProduct, "extent",
@@ -185,6 +197,7 @@ double Estimator::EstimateImpl(const query::TwigQuery& twig,
     }
   } else {
     for (SynNodeId n : syn.NodesWithTag(root.tag)) {
+      state.Read(n);
       const double count = static_cast<double>(syn.node(n).count);
       if (tr != nullptr) {
         tr->Open(obs::ExplainOp::kProduct, "extent",
@@ -224,6 +237,7 @@ double Estimator::EstimateImpl(const query::TwigQuery& twig,
 double Estimator::ValueFraction(SynNodeId n, int t, EvalState& state) const {
   const auto& pred = state.twig->node(t).pred;
   if (!pred.has_value()) return 1.0;
+  state.Read(n);
   if (state.stats != nullptr) ++state.stats->value_fractions;
   const double fraction = ValueFractionImpl(n, t, state);
   if (state.trace != nullptr) {
@@ -300,6 +314,7 @@ std::vector<hist::WeightedPoint> Estimator::ConditionedPoints(
 double Estimator::EvalSubtree(SynNodeId n, int t, EvalState& state) const {
   const auto& tnode = state.twig->node(t);
   if (tnode.children.empty()) return 1.0;
+  state.Read(n);
 
   const uint64_t key = MemoKey(t, n);
   if (state.memo_enabled) {
@@ -532,6 +547,7 @@ double Estimator::ChainTerm(SynNodeId cur,
                             const std::vector<SynNodeId>& chain,
                             size_t index, int t, bool existential,
                             EvalState& state) const {
+  state.Read(cur);
   const SynNodeId next = chain[index];
   const NodeSummary& s = sketch_.summary(cur);
   const int d = s.FindForwardDim(cur, next);

@@ -161,6 +161,15 @@ class Estimator {
   EstimateStats EstimateWithTrace(const query::TwigQuery& twig,
                                   obs::ExplainTrace* trace) const;
 
+  // Same estimate plus the synopsis nodes whose data (count, edges,
+  // summary) it read, sorted and deduplicated into `reads`. Estimating on
+  // a sketch that differs only at other nodes, with the same
+  // HasBackwardDims(), gives the same result bit for bit. The '//'
+  // expansion below the twig root also explores nodes it does not record,
+  // so that guarantee covers only twigs whose '//' steps are at the root.
+  double EstimateWithReads(const query::TwigQuery& twig,
+                           std::vector<SynNodeId>* reads) const;
+
   // Validating entry point for queries from untrusted sources: rejects
   // malformed twigs (empty query, dangling branch, existential root) with
   // Status::InvalidArgument instead of relying on XS_CHECK aborts.
@@ -194,10 +203,16 @@ class Estimator {
     bool enumerate_all = false;
     EstimateStats* stats = nullptr;       // optional diagnostics sink
     obs::ExplainTrace* trace = nullptr;   // optional explain sink
+    std::vector<SynNodeId>* reads = nullptr;  // optional read-set sink
+
+    void Read(SynNodeId n) {
+      if (reads != nullptr) reads->push_back(n);
+    }
   };
 
   double EstimateImpl(const query::TwigQuery& twig, EstimateStats* stats,
-                      obs::ExplainTrace* trace) const;
+                      obs::ExplainTrace* trace,
+                      std::vector<SynNodeId>* reads = nullptr) const;
 
   double EvalSubtree(SynNodeId n, int t, EvalState& state) const;
   double ChildTerm(SynNodeId n, int child,

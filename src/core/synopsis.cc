@@ -1,12 +1,20 @@
 #include "core/synopsis.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "util/check.h"
 
 namespace xsketch::core {
+
+namespace {
+
+// Children lists are ordered by target node id.
+bool ByChild(const SynEdge& a, const SynEdge& b) { return a.child < b.child; }
+
+}  // namespace
 
 Synopsis Synopsis::LabelSplit(const xml::Document& doc) {
   XS_CHECK_MSG(doc.sealed(), "synopsis requires a sealed document");
@@ -63,10 +71,7 @@ void Synopsis::RebuildEdges() {
   }
   // Deterministic order helps reproducibility.
   for (SynNode& n : nodes_) {
-    std::sort(n.children.begin(), n.children.end(),
-              [](const SynEdge& a, const SynEdge& b) {
-                return a.child < b.child;
-              });
+    std::sort(n.children.begin(), n.children.end(), ByChild);
     std::sort(n.parents.begin(), n.parents.end());
   }
 }
@@ -117,9 +122,93 @@ SynNodeId Synopsis::SplitNode(SynNodeId v,
   nodes_[v].count = extents_[v].size();
   nodes_[fresh].count = extents_[fresh].size();
 
-  RebuildEdges();
-  RebuildTagIndex();
+  RecountEdgesAround(v, fresh);
+  // Tag index order is by node id and the fresh id is the largest.
+  by_tag_[nodes_[v].tag].push_back(fresh);
   return fresh;
+}
+
+void Synopsis::RecountEdgesAround(SynNodeId v, SynNodeId fresh) {
+  // Only edges incident to v or fresh can change: every other edge keeps
+  // its endpoints' extents, so its counts and stability flags stand. Drop
+  // v's edges from its neighbours' lists (fresh has none yet).
+  for (SynNodeId p : nodes_[v].parents) {
+    if (p == v) continue;
+    std::vector<SynEdge>& children = nodes_[p].children;
+    children.erase(std::remove_if(children.begin(), children.end(),
+                                  [v](const SynEdge& e) {
+                                    return e.child == v;
+                                  }),
+                   children.end());
+  }
+  for (const SynEdge& e : nodes_[v].children) {
+    if (e.child == v) continue;
+    std::vector<SynNodeId>& parents = nodes_[e.child].parents;
+    parents.erase(std::remove(parents.begin(), parents.end(), v),
+                  parents.end());
+  }
+  nodes_[v].children.clear();
+  nodes_[v].parents.clear();
+
+  const xml::Document& doc = *doc_;
+  std::map<uint64_t, SynEdge> edges;  // key = (u << 32) | target
+  auto edge = [&](SynNodeId u, SynNodeId target) -> SynEdge& {
+    SynEdge& e = edges[(static_cast<uint64_t>(u) << 32) | target];
+    e.child = target;
+    return e;
+  };
+  // In-edges of v and fresh, self-edges between them included: per node,
+  // the parent element of each element, sorted so that elements sharing
+  // a parent form one run (document order mostly sorts them already).
+  std::vector<xml::NodeId> parents;
+  for (SynNodeId x : {v, fresh}) {
+    parents.clear();
+    for (xml::NodeId e : extents_[x]) {
+      const xml::NodeId parent = doc.parent(e);
+      if (parent != xml::kInvalidNode) parents.push_back(parent);
+    }
+    if (!std::is_sorted(parents.begin(), parents.end())) {
+      std::sort(parents.begin(), parents.end());
+    }
+    for (size_t i = 0; i < parents.size();) {
+      size_t run = i + 1;
+      while (run < parents.size() && parents[run] == parents[i]) ++run;
+      SynEdge& e = edge(partition_[parents[i]], x);
+      e.child_count += run - i;
+      ++e.parent_count;
+      i = run;
+    }
+  }
+  // Out-edges of v and fresh to every other node.
+  std::vector<SynNodeId> seen;  // target nodes of the current element
+  for (SynNodeId x : {v, fresh}) {
+    for (xml::NodeId e : extents_[x]) {
+      seen.clear();
+      doc.ForEachChild(e, [&](xml::NodeId c) {
+        const SynNodeId y = partition_[c];
+        if (y == v || y == fresh) return;  // counted as an in-edge
+        SynEdge& out = edge(x, y);
+        ++out.child_count;
+        if (std::find(seen.begin(), seen.end(), y) == seen.end()) {
+          seen.push_back(y);
+          ++out.parent_count;
+        }
+      });
+    }
+  }
+
+  // Insert in order: the lists stay sorted as a full rebuild sorts them.
+  for (auto& [key, e] : edges) {
+    const SynNodeId u = static_cast<SynNodeId>(key >> 32);
+    e.backward_stable = (e.child_count == nodes_[e.child].count);
+    e.forward_stable = (e.parent_count == nodes_[u].count);
+    std::vector<SynEdge>& children = nodes_[u].children;
+    children.insert(std::upper_bound(children.begin(), children.end(), e,
+                                     ByChild),
+                    e);
+    std::vector<SynNodeId>& parents = nodes_[e.child].parents;
+    parents.insert(std::upper_bound(parents.begin(), parents.end(), u), u);
+  }
 }
 
 std::vector<SynNodeId> Synopsis::TwigStableNeighborhood(SynNodeId n) const {

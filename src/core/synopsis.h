@@ -73,7 +73,9 @@ class Synopsis {
 
   // Splits node `v`: elements in `subset` move to a brand-new node (whose
   // id is returned); the rest stay in `v`. `subset` must be a non-empty
-  // proper subset of Extent(v). Edges and stabilities are recomputed.
+  // proper subset of Extent(v). The edges incident to v and the new node
+  // are recomputed (counts and stabilities); no other edge can change.
+  // Costs O(|Extent(v)| + their children), not a pass over the document.
   SynNodeId SplitNode(SynNodeId v, const std::vector<xml::NodeId>& subset);
 
   // Twig stable neighborhood of n (paper §3.2): all nodes that reach n via
@@ -97,6 +99,8 @@ class Synopsis {
 
   // Recomputes all edges, counts and stabilities from the partition.
   void RebuildEdges();
+  // Recomputes the edges incident to v and fresh after a split of v.
+  void RecountEdgesAround(SynNodeId v, SynNodeId fresh);
   void RebuildTagIndex();
 
   const xml::Document* doc_ = nullptr;

@@ -145,9 +145,21 @@ void TwigXSketch::RebuildValueHistogram(SynNodeId n) {
 }
 
 SynNodeId TwigXSketch::SplitNode(SynNodeId v,
-                                 const std::vector<xml::NodeId>& subset) {
+                                 const std::vector<xml::NodeId>& subset,
+                                 std::vector<SynNodeId>* changed) {
   const SynNodeId fresh = synopsis_.SplitNode(v, subset);
   summaries_.resize(synopsis_.node_count());
+  if (changed != nullptr) {
+    // Every edge that changed is incident to v or fresh, so it is stored
+    // at one of these nodes or at a parent of theirs.
+    for (SynNodeId n : {v, fresh}) {
+      changed->push_back(n);
+      const SynNode& node = synopsis_.node(n);
+      changed->insert(changed->end(), node.parents.begin(),
+                      node.parents.end());
+      for (const SynEdge& e : node.children) changed->push_back(e.child);
+    }
+  }
 
   // The fresh node inherits v's budgets and scope shape.
   summaries_[fresh].bucket_budget = summaries_[v].bucket_budget;
@@ -161,7 +173,7 @@ SynNodeId TwigXSketch::SplitNode(SynNodeId v,
   for (SynNodeId n = 0; n < synopsis_.node_count(); ++n) {
     NodeSummary& s = summaries_[n];
     std::vector<CountRef> repaired;
-    bool changed = (n == fresh);
+    bool scope_changed = (n == fresh);
     for (CountRef ref : s.scope) {
       if (ref.forward) ref.from = n;  // owner may be the fresh node
       const bool mentions_v = (ref.from == v || ref.to == v);
@@ -170,11 +182,12 @@ SynNodeId TwigXSketch::SplitNode(SynNodeId v,
             (ref.forward || BackwardRefLegal(n, ref))) {
           repaired.push_back(ref);
         } else {
-          changed = true;  // edge vanished (e.g. ancestor chain broke)
+          // The edge vanished (e.g. the ancestor chain broke).
+          scope_changed = true;
         }
         continue;
       }
-      changed = true;
+      scope_changed = true;
       // Try every (from, to) combination over {v, fresh} replacements.
       for (SynNodeId from :
            {ref.from == v ? fresh : ref.from, ref.from}) {
@@ -191,10 +204,13 @@ SynNodeId TwigXSketch::SplitNode(SynNodeId v,
         }
       }
     }
-    if (changed || n == v) {
+    bool rebuilt = false;
+    if (scope_changed || n == v) {
       s.scope = std::move(repaired);
       RebuildNodeHistogram(n);
-      RebuildValueHistogram(n);
+      // Only the two halves' extents (and so their values) changed.
+      if (n == v || n == fresh) RebuildValueHistogram(n);
+      rebuilt = true;
     }
 
     // Repair the joint value-histogram scope with the same rules: keep
@@ -230,8 +246,10 @@ SynNodeId TwigXSketch::SplitNode(SynNodeId v,
       if (vchanged) {
         s.value_scope = std::move(vrepaired);
         RebuildJointValueHistogram(n);
+        rebuilt = true;
       }
     }
+    if (rebuilt && changed != nullptr) changed->push_back(n);
   }
   return fresh;
 }

@@ -104,7 +104,11 @@ class TwigXSketch {
 
   // Splits synopsis node v (see Synopsis::SplitNode), then repairs and
   // rebuilds every summary whose scope referenced v. Returns the new node.
-  SynNodeId SplitNode(SynNodeId v, const std::vector<xml::NodeId>& subset);
+  // When `changed` is non-null, appends every node whose synopsis data or
+  // summary the split may have changed: v, the new node, their parents
+  // and children, and each node whose summary was rebuilt.
+  SynNodeId SplitNode(SynNodeId v, const std::vector<xml::NodeId>& subset,
+                      std::vector<SynNodeId>* changed = nullptr);
 
   // Adds a dimension to n's histogram and rebuilds it. The CountRef must
   // be legal: forward refs use edges out of n; backward refs use edges out

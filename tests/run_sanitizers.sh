@@ -13,6 +13,8 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 # builder_test covers the parallel XBUILD candidate-scoring path;
+# synopsis_test runs random node splits (the neighbourhood-only edge
+# recount) against a brute-force recount;
 # obs_test drives concurrent writers through the shared MetricsRegistry;
 # trace_test exercises multi-thread span recording, the flight recorder's
 # concurrent record/dump paths, and the CAS-loop gauge updates;
@@ -36,9 +38,9 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 # net_test feeds the HTTP, JSON and XSKB parsers truncated and hostile
 # payloads — the bytes strangers send, where ASan+UBSan catch an
 # off-by-one.
-TARGETS=(service_test estimator_test builder_test obs_test trace_test
-         compile_test faultpoints_test daemon_test exec_test plan_test
-         xsk3_test net_test differential_test)
+TARGETS=(service_test estimator_test builder_test synopsis_test obs_test
+         trace_test compile_test faultpoints_test daemon_test exec_test
+         plan_test xsk3_test net_test differential_test)
 MODES=("${@:-thread address}")
 
 for MODE in ${MODES[@]}; do

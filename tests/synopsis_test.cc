@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
 
 #include "core/synopsis.h"
 #include "core/twig_xsketch.h"
 #include "data/figures.h"
 #include "data/xmark.h"
+#include "testing/doc_generator.h"
+#include "util/random.h"
 #include "xml/parser.h"
 
 namespace xsketch::core {
@@ -117,6 +122,95 @@ TEST(SynopsisTest, SplitNodeMovesSubset) {
   EXPECT_EQ(syn.FindEdge(a, x), nullptr);
   // Tag index now returns both nodes.
   EXPECT_EQ(syn.NodesWithTag(doc.LookupTag("x")).size(), 2u);
+}
+
+// Recounts every edge of `syn` by brute force from the document and the
+// element partition, and expects each node's count, children (counts,
+// stability flags, order) and parents to match, and the tag index to list
+// every node of a tag in id order. Returns the number of self-edges seen.
+int ExpectMatchesRecount(const Synopsis& syn, const xml::Document& doc) {
+  const size_t n = syn.node_count();
+  std::vector<uint64_t> count(n, 0);
+  std::vector<std::map<SynNodeId, SynEdge>> children(n);
+  std::vector<std::set<SynNodeId>> parents(n);
+  std::set<std::pair<xml::NodeId, SynNodeId>> parent_has_child_in;
+  for (xml::NodeId e = 0; e < doc.size(); ++e) {
+    const SynNodeId x = syn.NodeOf(e);
+    ++count[x];
+    const xml::NodeId p = doc.parent(e);
+    if (p == xml::kInvalidNode) continue;
+    const SynNodeId u = syn.NodeOf(p);
+    SynEdge& edge = children[u][x];
+    edge.child = x;
+    ++edge.child_count;
+    if (parent_has_child_in.insert({p, x}).second) ++edge.parent_count;
+    parents[x].insert(u);
+  }
+  int self_edges = 0;
+  for (SynNodeId u = 0; u < n; ++u) {
+    const SynNode& node = syn.node(u);
+    EXPECT_EQ(node.count, count[u]) << "node " << u;
+    EXPECT_EQ(node.children.size(), children[u].size()) << "node " << u;
+    if (node.children.size() != children[u].size()) continue;
+    size_t i = 0;
+    for (const auto& [x, want] : children[u]) {
+      const SynEdge& got = node.children[i++];
+      EXPECT_EQ(got.child, x) << u << "->" << x;
+      EXPECT_EQ(got.child_count, want.child_count) << u << "->" << x;
+      EXPECT_EQ(got.parent_count, want.parent_count) << u << "->" << x;
+      EXPECT_EQ(got.backward_stable, want.child_count == count[x])
+          << u << "->" << x;
+      EXPECT_EQ(got.forward_stable, want.parent_count == count[u])
+          << u << "->" << x;
+      if (x == u) ++self_edges;
+    }
+    EXPECT_EQ(node.parents,
+              std::vector<SynNodeId>(parents[u].begin(), parents[u].end()))
+        << "node " << u;
+  }
+  std::vector<std::vector<SynNodeId>> by_tag(doc.tag_count());
+  for (SynNodeId u = 0; u < n; ++u) by_tag[syn.node(u).tag].push_back(u);
+  for (xml::TagId tag = 0; tag < doc.tag_count(); ++tag) {
+    EXPECT_EQ(syn.NodesWithTag(tag), by_tag[tag]) << "tag " << tag;
+  }
+  return self_edges;
+}
+
+TEST(SynopsisTest, SplitMatchesFullRecount) {
+  int self_edges = 0;
+  for (testing::DocShape shape : testing::kAllDocShapes) {
+    for (uint64_t seed : {3u, 4u}) {
+      SCOPED_TRACE(std::string(testing::DocShapeName(shape)) + " seed " +
+                   std::to_string(seed));
+      testing::DocGenOptions options = testing::ShapePreset(shape, seed);
+      options.target_elements = 400;
+      xml::Document doc = testing::GenerateRandomDocument(options);
+      Synopsis syn = Synopsis::LabelSplit(doc);
+      util::Rng rng(seed * 7919);
+      self_edges += ExpectMatchesRecount(syn, doc);
+      for (int split = 0; split < 40; ++split) {
+        const auto v = static_cast<SynNodeId>(rng.Uniform(syn.node_count()));
+        const std::vector<xml::NodeId>& extent = syn.Extent(v);
+        if (extent.size() < 2) continue;
+        // Mostly random subsets; sometimes the elements whose parent is
+        // in v itself, which splits a self-edge into v<->fresh edges.
+        std::vector<xml::NodeId> subset;
+        const bool by_parent = rng.Bernoulli(0.3);
+        for (xml::NodeId e : extent) {
+          const xml::NodeId p = doc.parent(e);
+          const bool take = by_parent ? p != xml::kInvalidNode &&
+                                            syn.NodeOf(p) == v
+                                      : rng.Bernoulli(0.5);
+          if (take) subset.push_back(e);
+        }
+        if (subset.empty() || subset.size() == extent.size()) continue;
+        syn.SplitNode(v, subset);
+        self_edges += ExpectMatchesRecount(syn, doc);
+      }
+    }
+  }
+  // The recursive shape repeats tags along paths: self-edges were split.
+  EXPECT_GT(self_edges, 0);
 }
 
 TEST(SynopsisTest, SplitPreservesTotalCounts) {
