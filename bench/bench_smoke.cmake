@@ -1,11 +1,9 @@
 # ctest driver for the bench --smoke modes: runs the perf binaries on
 # tiny inputs and fails if any assert-only pass fails. Invoked as
-#   cmake -DPERF_BATCH=<path> -DPERF_PLAN=<path> -DPERF_BUILD=<path> \
-#         -DPERF_COLDLOAD=<path> -DPERF_SYNTHETIC=<path> \
-#         -P bench_smoke.cmake
+#   cmake -DPERF_BATCH=<path> -DPERF_PLAN=<path> -DPERF_DAEMON=<path> \
+#         -DPERF_SYNTHETIC=<path> -P bench_smoke.cmake
 
-foreach(bin IN ITEMS "${PERF_BATCH}" "${PERF_PLAN}" "${PERF_BUILD}"
-                     "${PERF_COLDLOAD}" "${PERF_DAEMON}"
+foreach(bin IN ITEMS "${PERF_BATCH}" "${PERF_PLAN}" "${PERF_DAEMON}"
                      "${PERF_SYNTHETIC}")
   if(NOT EXISTS "${bin}")
     message(FATAL_ERROR "bench_smoke: missing binary '${bin}'")

@@ -103,7 +103,8 @@ echo "=== bench gate: bench_plan (estimate-driven join orders) ==="
 "$BUILD/bench/perf_plan" --delta
 
 echo "=== fuzz smoke (10s per target) ==="
-for f in fuzz_parser fuzz_xpath fuzz_xsk3_load; do
+for f in fuzz_parser fuzz_xpath fuzz_xsk3_load fuzz_http fuzz_json \
+         fuzz_wire; do
   corpus="$ROOT/fuzz/corpus/${f#fuzz_}"
   echo "--- $f ---"
   # A missing binary must fail the run, not skip the target silently.

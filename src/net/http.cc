@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 
 namespace xsketch::net {
 
@@ -159,19 +157,23 @@ HttpParseResult ParseHttpRequest(std::string_view buf,
     std::string name = ToLower(TrimOws(hline.substr(0, colon)));
     std::string value(TrimOws(hline.substr(colon + 1)));
     if (name == "content-length") {
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
-          have_length) {
+      // 1*DIGIT: no sign, no blanks, no base prefix.
+      if (have_length || value.empty() ||
+          value.find_first_not_of("0123456789") != std::string::npos) {
         return Error(400, "bad Content-Length");
       }
-      if (v > limits.max_body_bytes) {
-        return Error(413, "body exceeds " +
-                              std::to_string(limits.max_body_bytes) +
-                              " bytes");
+      // v * 10 + d > cap is tested before it is computed, so no value
+      // wraps, however many digits it has.
+      const size_t cap = limits.max_body_bytes;
+      size_t v = 0;
+      for (const char c : value) {
+        const size_t d = static_cast<size_t>(c - '0');
+        if (v > cap / 10 || (v == cap / 10 && d > cap % 10)) {
+          return Error(413, "body exceeds " + std::to_string(cap) + " bytes");
+        }
+        v = v * 10 + d;
       }
-      content_length = static_cast<size_t>(v);
+      content_length = v;
       have_length = true;
     } else if (name == "transfer-encoding") {
       return Error(501, "Transfer-Encoding not supported; use "

@@ -245,15 +245,26 @@ TEST(XBuildParallelTest, ParallelBuildBitIdenticalToSequential) {
   opts.allow_backward_counts = true;
   opts.allow_value_correlation = true;
 
+  // The sketch size after each accepted refinement: the same sequence of
+  // steps, not only the same end point.
+  auto build = [&](BuildStats* stats, std::vector<size_t>* steps) {
+    return XBuild(doc, opts).Build(
+        [steps](const TwigXSketch&, size_t size) { steps->push_back(size); },
+        stats);
+  };
   opts.num_threads = 1;
   BuildStats seq_stats;
-  TwigXSketch sequential = XBuild(doc, opts).Build({}, &seq_stats);
+  std::vector<size_t> seq_steps;
+  TwigXSketch sequential = build(&seq_stats, &seq_steps);
+  EXPECT_FALSE(seq_steps.empty());
 
   for (int threads : {2, 4}) {
     opts.num_threads = threads;
     BuildStats par_stats;
-    TwigXSketch parallel = XBuild(doc, opts).Build({}, &par_stats);
+    std::vector<size_t> par_steps;
+    TwigXSketch parallel = build(&par_stats, &par_steps);
     EXPECT_EQ(Fingerprint(parallel), Fingerprint(sequential)) << threads;
+    EXPECT_EQ(par_steps, seq_steps) << threads;
     EXPECT_EQ(par_stats.iterations, seq_stats.iterations) << threads;
     EXPECT_EQ(par_stats.accepted_by_kind, seq_stats.accepted_by_kind)
         << threads;

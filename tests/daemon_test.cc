@@ -344,8 +344,9 @@ TEST_F(DaemonTest, ServingManyDocumentsAddsNoThreads) {
     options.sketches.emplace_back(docs.back(), *sketch_path_);
   }
   StartDaemon(std::move(options));
-  // Create's workers plus this test's event-loop thread.
-  const size_t threads = ProcessThreadCount();
+  // Create's workers plus this test's event-loop thread, once the count
+  // holds still.
+  const size_t threads = SettledThreadCount();
 
   for (const std::string& doc : docs) {
     auto resp = HttpRoundTrip(

@@ -162,10 +162,30 @@ TEST(HttpTest, LimitsAndProtocolErrors) {
   EXPECT_EQ(bad_target.outcome, HttpParseOutcome::kError);
   EXPECT_EQ(bad_target.error_status, 400);
 
-  auto bad_length = ParseHttpRequest(
-      "POST / HTTP/1.1\r\nContent-Length: nope\r\n\r\n", limits);
-  EXPECT_EQ(bad_length.outcome, HttpParseOutcome::kError);
-  EXPECT_EQ(bad_length.error_status, 400);
+  // Content-Length is 1*DIGIT: a sign, a blank inside or a base prefix
+  // is a 400, and a huge value a 413, never a wrapped one.
+  for (const char* length : {"nope", "+5", "-0", "-1", "0x5", "5 5", ""}) {
+    auto bad_length = ParseHttpRequest(
+        std::string("POST / HTTP/1.1\r\nContent-Length: ") + length +
+            "\r\n\r\n12345",
+        limits);
+    EXPECT_EQ(bad_length.outcome, HttpParseOutcome::kError) << length;
+    EXPECT_EQ(bad_length.error_status, 400) << length;
+  }
+  for (const char* length : {"17", "99999999999999999999999"}) {
+    auto too_long = ParseHttpRequest(
+        std::string("POST / HTTP/1.1\r\nContent-Length: ") + length +
+            "\r\n\r\n",
+        limits);
+    EXPECT_EQ(too_long.outcome, HttpParseOutcome::kError) << length;
+    EXPECT_EQ(too_long.error_status, 413) << length;
+  }
+  auto at_cap = ParseHttpRequest(
+      "POST / HTTP/1.1\r\nContent-Length: 016\r\n\r\n" +
+          std::string(16, 'b'),
+      limits);
+  ASSERT_EQ(at_cap.outcome, HttpParseOutcome::kRequest);
+  EXPECT_EQ(at_cap.request.body, std::string(16, 'b'));
 }
 
 TEST(HttpTest, SerializeRoundTripsStatusAndHeaders) {

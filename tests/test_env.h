@@ -15,11 +15,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "core/frozen.h"
 #include "obs/metrics.h"
@@ -45,6 +47,20 @@ inline size_t ProcessThreadCount() {
   const std::filesystem::directory_iterator tasks("/proc/self/task");
   return static_cast<size_t>(std::distance(
       std::filesystem::begin(tasks), std::filesystem::end(tasks)));
+}
+
+// ProcessThreadCount() once two reads 10 ms apart agree: a thread that
+// was joined can stay listed for a moment while it exits. Gives up after
+// 2 s and returns the last read.
+inline size_t SettledThreadCount() {
+  size_t last = ProcessThreadCount();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const size_t now = ProcessThreadCount();
+    if (now == last) break;
+    last = now;
+  }
+  return last;
 }
 
 // The value the default registry exposes for counter series `name` (0

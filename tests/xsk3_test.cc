@@ -21,6 +21,7 @@
 #include "data/figures.h"
 #include "data/xmark.h"
 #include "query/workload.h"
+#include "query/xpath_parser.h"
 #include "service/sketch_catalog.h"
 #include "util/mmap_file.h"
 #include "xsketch_api.h"
@@ -124,8 +125,12 @@ void ExpectBitIdenticalPrograms(const core::TwigXSketch& sketch,
 
   const core::TwigCompiler heap_compiler(frozen);
   const core::TwigCompiler mmap_compiler(loaded.value());
-  const auto queries = SomeQueries(doc, 40);
+  auto queries = SomeQueries(doc, 40);
   ASSERT_FALSE(queries.empty());
+  // A '//' path too: its expansion runs over the mapped synopsis.
+  if (auto q = query::ParsePath("//item", doc.tags()); q.ok()) {
+    queries.push_back(std::move(q).value());
+  }
   for (const auto& q : queries) {
     auto hp = heap_compiler.Compile(q);
     auto mp = mmap_compiler.Compile(q);
