@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <memory>
+#include <new>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "obs/trace.h"
@@ -172,11 +176,11 @@ class CompiledTwig::ExplainRecorder {
                 bool covered, const Child& child) {
     const Step& st = ct_.steps_[chain.step_begin + index];
     const int t = child.twig_node;
-    std::string label = SynLabel(st.from) + " -> " + SynLabel(st.to);
+    std::string label = SynLabel(st.from) + " -> " + SynLabel(st.to());
     if (chain.len > 1) {
       label += " (alternative " + SynLabel(st.from);
       for (uint32_t k = 0; k < chain.len; ++k) {
-        label += "/" + SynLabel(ct_.steps_[chain.step_begin + k].to);
+        label += "/" + SynLabel(ct_.steps_[chain.step_begin + k].to());
       }
       label += ", step " + std::to_string(index + 1) + ")";
     }
@@ -186,7 +190,7 @@ class CompiledTwig::ExplainRecorder {
     trace_->Leaf("c", covered ? "bucket fanout" : "average fanout", count,
                  t);
     trace_->Open(obs::ExplainOp::kProduct, "sub",
-                 index + 1 == chain.len ? "tail at " + SynLabel(st.to)
+                 index + 1 == chain.len ? "tail at " + SynLabel(st.to())
                                         : "chain continuation",
                  t);
   }
@@ -446,7 +450,7 @@ class CompiledTwig::Executor {
                             /*covered=*/true, child);
       } else {
         if (stats_ != nullptr) ++stats_->uniformity_terms;
-        factor = StepFactor(chain, 0, s0.avg, /*covered=*/false, child);
+        factor = StepFactor(chain, 0, s0.edge->avg, /*covered=*/false, child);
       }
       if (child.existential) {
         prob_none *= 1.0 - Clamp01(factor);
@@ -466,10 +470,11 @@ class CompiledTwig::Executor {
     sink_.OpenStep(chain, index, count, covered, child);
     double inner;
     if (last) {
-      const double vf = TracedVf(st.vf, st.to, child.twig_node);
-      inner = (vf == 0.0)
-                  ? 0.0
-                  : vf * (st.tail_plan < 0 ? 1.0 : ExecPlan(st.tail_plan));
+      const double vf = TracedVf(chain.vf, st.to(), child.twig_node);
+      inner = (vf == 0.0) ? 0.0
+                          : vf * (chain.tail_plan < 0
+                                      ? 1.0
+                                      : ExecPlan(chain.tail_plan));
     } else {
       inner = ChainTerm(chain, index + 1, child);
     }
@@ -481,11 +486,12 @@ class CompiledTwig::Executor {
       const double q = Clamp01(inner);
       if (covered) {
         factor = count <= 0.0 ? 0.0 : 1.0 - std::pow(1.0 - q, count);
-      } else if (st.parent_zero) {
+      } else if (st.edge->parent_zero != 0) {
         factor = 0.0;
       } else {
         factor =
-            st.exist_frac * (1.0 - std::pow(1.0 - q, st.avg_given_exist));
+            st.edge->exist_frac *
+            (1.0 - std::pow(1.0 - q, st.edge->avg_given_exist));
       }
     }
     sink_.Close(factor);
@@ -496,7 +502,7 @@ class CompiledTwig::Executor {
     const Step& st = ct_.steps_[chain.step_begin + index];
     if (st.covered_dim < 0) {
       if (stats_ != nullptr) ++stats_->uniformity_terms;
-      return StepFactor(chain, index, st.avg, /*covered=*/false, child);
+      return StepFactor(chain, index, st.edge->avg, /*covered=*/false, child);
     }
     sink_.OpenChainHist(st.from, child.twig_node);
     RuntimePoints storage;
@@ -521,25 +527,19 @@ class CompiledTwig::Executor {
     return result;
   }
 
-  double Vf(const VfSite& site) {
-    switch (site.kind) {
-      case VfSite::Kind::kOne:
-        return 1.0;
-      case VfSite::Kind::kStatic:
-        if (stats_ != nullptr) ++stats_->value_fractions;
-        return site.fraction;
-      case VfSite::Kind::kDynamic:
-        if (stats_ != nullptr) ++stats_->value_fractions;
-        return DynamicVf(site);
-    }
-    return 1.0;  // unreachable
+  double Vf(int32_t vf) {
+    if (vf < 0) return 1.0;
+    const VfSite& site = ct_.vf_sites_[vf];
+    if (stats_ != nullptr) ++stats_->value_fractions;
+    return site.kind == VfSite::Kind::kStatic ? site.fraction
+                                              : DynamicVf(site);
   }
 
   // Vf plus the explain leaf of a predicated site (twig node t evaluated
   // at synopsis node n).
-  double TracedVf(const VfSite& site, SynNodeId n, int t) {
-    const double fraction = Vf(site);
-    if (site.kind != VfSite::Kind::kOne) sink_.Value(n, t, fraction);
+  double TracedVf(int32_t vf, SynNodeId n, int t) {
+    const double fraction = Vf(vf);
+    if (vf >= 0) sink_.Value(n, t, fraction);
     return fraction;
   }
 
@@ -583,14 +583,13 @@ class CompiledTwig::Executor {
       const Child& child = ct_.children_[c];
       for (uint32_t ci = child.chain_begin; ci < child.chain_end; ++ci) {
         const Chain& chain = ct_.chains_[ci];
-        const Step& s0 = ct_.steps_[chain.step_begin];
         double inner;
         if (chain.len == 1) {
-          const double vf = Vf(s0.vf);
-          inner = (vf == 0.0)
-                      ? 0.0
-                      : vf * (s0.tail_plan < 0 ? 1.0
-                                               : ExecPlan(s0.tail_plan));
+          const double vf = Vf(chain.vf);
+          inner = (vf == 0.0) ? 0.0
+                              : vf * (chain.tail_plan < 0
+                                          ? 1.0
+                                          : ExecPlan(chain.tail_plan));
         } else {
           inner = ChainTerm(chain, 1, child);
         }
@@ -616,7 +615,7 @@ class CompiledTwig::Executor {
               nb);
         } else {
           util::simd::AddScalarAccumulate(sc_.child_acc.data(),
-                                          s0.avg * inner, nb);
+                                          s0.edge->avg * inner, nb);
         }
       }
       util::simd::MulAccumulate(sc_.term_acc.data(), sc_.child_acc.data(),
@@ -681,13 +680,6 @@ EstimateStats CompiledTwig::ExecuteWithTrace(obs::ExplainTrace* trace,
   return stats;
 }
 
-size_t CompiledTwig::SizeBytes() const {
-  return plans_.size() * sizeof(Plan) + children_.size() * sizeof(Child) +
-         chains_.size() * sizeof(Chain) + steps_.size() * sizeof(Step) +
-         roots_.size() * sizeof(Root) +
-         twig_nodes_.size() * sizeof(TwigNode);
-}
-
 // ---------------------------------------------------------------------------
 // Compilation
 
@@ -743,27 +735,25 @@ const DescendantPathCache::Paths& TwigCompiler::DescendantPaths(
   return path_cache_.Insert(key, std::move(paths));
 }
 
-// Per-Compile lowering state. Plans are built bottom-up: a plan's children
-// (and their tail plans, recursively) are assembled in frame-local storage
-// and appended to the flat arrays contiguously once complete, so nested
-// CompilePlan calls never interleave a plan's records.
+// Per-Compile lowering state over reusable per-thread scratch. Plans are
+// built bottom-up: a plan's children, chains and steps are staged on
+// stacks while their tail plans compile (a nested CompilePlan pushes its
+// own records above its caller's and pops back), then appended to the
+// flat arrays contiguously, so nested calls never interleave a plan's
+// records. Emit() copies the finished arrays once into the program's
+// exact-size block; the scratch keeps its capacity for the thread's next
+// compile, so a warm compile allocates only that block.
 class TwigCompiler::Builder {
  public:
-  Builder(const TwigCompiler& compiler, const query::TwigQuery& twig,
-          CompiledTwig* out)
+  Builder(const TwigCompiler& compiler, const query::TwigQuery& twig)
       : compiler_(compiler),
         fz_(*compiler.frozen_),
         twig_(twig),
-        out_(out) {}
+        sc_(ThreadScratch()) {
+    sc_.Reset();
+  }
 
   void Build() {
-    out_->enumerate_all_ = fz_.has_backward_dims();
-    out_->path_length_cap_ = compiler_.path_length_cap_;
-    out_->twig_nodes_.reserve(static_cast<size_t>(twig_.size()));
-    for (int t = 0; t < twig_.size(); ++t) {
-      const auto& node = twig_.node(t);
-      out_->twig_nodes_.push_back({node.tag, node.axis, node.pred});
-    }
     if (twig_.empty()) return;
     const auto& root = twig_.node(twig_.root());
     if (root.tag == query::kUnknownTag) return;
@@ -775,9 +765,9 @@ class TwigCompiler::Builder {
         r.n = n0;
         r.count = fz_.count(n0);
         r.mul_count = false;
-        r.vf = MakeVfSite(n0, root);
+        r.vf = AddVfSite(n0, root);
         r.plan = CompilePlan(n0, twig_.root());
-        out_->roots_.push_back(r);
+        sc_.roots.push_back(r);
       }
     } else {
       for (SynNodeId n : fz_.NodesWithTag(root.tag)) {
@@ -785,39 +775,184 @@ class TwigCompiler::Builder {
         r.n = n;
         r.count = fz_.count(n);
         r.mul_count = true;
-        r.vf = MakeVfSite(n, root);
+        r.vf = AddVfSite(n, root);
         r.plan = CompilePlan(n, twig_.root());
-        out_->roots_.push_back(r);
+        sc_.roots.push_back(r);
       }
     }
+  }
+
+  // The program: one block holding the header and every array, exactly
+  // sized.
+  std::shared_ptr<const CompiledTwig> Emit() const {
+    using CT = CompiledTwig;
+    size_t offset = AlignUp(sizeof(CT));
+    const size_t plans_at = Reserve<CT::Plan>(&offset, sc_.plans.size());
+    const size_t children_at =
+        Reserve<CT::Child>(&offset, sc_.children.size());
+    const size_t chains_at = Reserve<CT::Chain>(&offset, sc_.chains.size());
+    const size_t steps_at = Reserve<CT::Step>(&offset, sc_.steps.size());
+    const size_t vf_sites_at =
+        Reserve<CT::VfSite>(&offset, sc_.vf_sites.size());
+    const size_t roots_at = Reserve<CT::Root>(&offset, sc_.roots.size());
+    const size_t nodes_at =
+        Reserve<CT::TwigNode>(&offset, static_cast<size_t>(twig_.size()));
+    std::byte* block = static_cast<std::byte*>(::operator new(offset));
+    CT* ct = new (block) CT();
+    ct->plans_ = Place(block + plans_at, sc_.plans);
+    ct->children_ = Place(block + children_at, sc_.children);
+    ct->chains_ = Place(block + chains_at, sc_.chains);
+    ct->steps_ = Place(block + steps_at, sc_.steps);
+    ct->vf_sites_ = Place(block + vf_sites_at, sc_.vf_sites);
+    ct->roots_ = Place(block + roots_at, sc_.roots);
+    auto* nodes = reinterpret_cast<CT::TwigNode*>(block + nodes_at);
+    for (int t = 0; t < twig_.size(); ++t) {
+      const auto& node = twig_.node(t);
+      new (nodes + t) CT::TwigNode{node.tag, node.axis, node.pred};
+    }
+    ct->twig_nodes_ = {nodes, static_cast<size_t>(twig_.size())};
+    ct->frozen_ = compiler_.frozen_;
+    ct->size_bytes_ = offset;
+    ct->enumerate_all_ = fz_.has_backward_dims();
+    ct->path_length_cap_ = compiler_.path_length_cap_;
+    return std::shared_ptr<const CT>(ct, [](const CT* p) {
+      p->~CT();
+      ::operator delete(const_cast<CT*>(p));
+    });
   }
 
  private:
   using PointsKind = CompiledTwig::PointsKind;
   using VfSite = CompiledTwig::VfSite;
 
-  struct ChainRec {
+  // Every array lives in the block without a destructor call and at
+  // 8-byte granularity.
+  static_assert(std::is_trivially_destructible_v<CompiledTwig::Plan> &&
+                std::is_trivially_destructible_v<CompiledTwig::Child> &&
+                std::is_trivially_destructible_v<CompiledTwig::Chain> &&
+                std::is_trivially_destructible_v<CompiledTwig::Step> &&
+                std::is_trivially_destructible_v<CompiledTwig::VfSite> &&
+                std::is_trivially_destructible_v<CompiledTwig::Root> &&
+                std::is_trivially_destructible_v<CompiledTwig::TwigNode>);
+  static constexpr size_t kAlign = 8;
+  static_assert(alignof(CompiledTwig) <= kAlign &&
+                alignof(CompiledTwig::Chain) <= kAlign &&
+                alignof(CompiledTwig::Step) <= kAlign &&
+                alignof(CompiledTwig::VfSite) <= kAlign &&
+                alignof(CompiledTwig::Root) <= kAlign &&
+                alignof(CompiledTwig::TwigNode) <= kAlign);
+
+  static size_t AlignUp(size_t n) { return (n + kAlign - 1) & ~(kAlign - 1); }
+  // Offset of a `count`-element T array at *offset; advances *offset.
+  template <typename T>
+  static size_t Reserve(size_t* offset, size_t count) {
+    const size_t at = *offset;
+    *offset = AlignUp(at + count * sizeof(T));
+    return at;
+  }
+  template <typename T>
+  static std::span<const T> Place(std::byte* at, const std::vector<T>& v) {
+    T* out = reinterpret_cast<T*>(at);
+    std::uninitialized_copy(v.begin(), v.end(), out);
+    return {out, v.size()};
+  }
+
+  struct Scratch {
+    std::vector<CompiledTwig::Plan> plans;
+    std::vector<CompiledTwig::Child> children;
+    std::vector<CompiledTwig::Chain> chains;
     std::vector<CompiledTwig::Step> steps;
-  };
-  struct ChildRec {
-    CompiledTwig::Child::Kind kind = CompiledTwig::Child::Kind::kNormal;
-    bool existential = false;
-    bool descendant = false;
-    int32_t twig_node = -1;
-    std::vector<ChainRec> chains;
+    std::vector<CompiledTwig::VfSite> vf_sites;
+    std::vector<CompiledTwig::Root> roots;
+    // Records of plans still compiling their tail plans, innermost on top.
+    std::vector<CompiledTwig::Child> pending_children;
+    std::vector<CompiledTwig::Chain> pending_chains;
+    std::vector<CompiledTwig::Step> pending_steps;
+    // Plan memo on (t, n): open addressing; a slot is live when its stamp
+    // is the current compile's epoch.
+    std::vector<uint64_t> memo_keys;
+    std::vector<int32_t> memo_ids;
+    std::vector<uint32_t> memo_stamps;
+    uint32_t epoch = 0;
+
+    void Reset() {
+      plans.clear();
+      children.clear();
+      chains.clear();
+      steps.clear();
+      vf_sites.clear();
+      roots.clear();
+      pending_children.clear();
+      pending_chains.clear();
+      pending_steps.clear();
+      if (memo_keys.empty()) {
+        memo_keys.resize(64);
+        memo_ids.resize(64);
+        memo_stamps.assign(64, 0);
+      }
+      if (++epoch == 0) {  // wrapped: every stale stamp must read empty
+        std::fill(memo_stamps.begin(), memo_stamps.end(), 0u);
+        epoch = 1;
+      }
+    }
   };
 
-  VfSite MakeVfSite(SynNodeId n, const query::TwigQuery::Node& tnode) {
+  static Scratch& ThreadScratch() {
+    static thread_local Scratch scratch;
+    return scratch;
+  }
+
+  static uint64_t MemoKey(int t, SynNodeId n) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(t)) << 32) | n;
+  }
+  size_t MemoHome(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
+           (sc_.memo_keys.size() - 1);
+  }
+
+  int32_t MemoFind(uint64_t key) const {
+    const size_t mask = sc_.memo_keys.size() - 1;
+    for (size_t i = MemoHome(key);; i = (i + 1) & mask) {
+      if (sc_.memo_stamps[i] != sc_.epoch) return -1;
+      if (sc_.memo_keys[i] == key) return sc_.memo_ids[i];
+    }
+  }
+
+  void MemoPut(uint64_t key, int32_t id) {
+    const size_t mask = sc_.memo_keys.size() - 1;
+    size_t i = MemoHome(key);
+    while (sc_.memo_stamps[i] == sc_.epoch) i = (i + 1) & mask;
+    sc_.memo_keys[i] = key;
+    sc_.memo_ids[i] = id;
+    sc_.memo_stamps[i] = sc_.epoch;
+  }
+
+  // Memoizes plan `id` (the newest plan), keeping the table at most half
+  // full; a resize re-inserts every earlier plan from its (t, n).
+  void MemoInsert(uint64_t key, int32_t id) {
+    if (2 * (static_cast<size_t>(id) + 1) > sc_.memo_keys.size()) {
+      const size_t size = 2 * sc_.memo_keys.size();
+      sc_.memo_keys.assign(size, 0);
+      sc_.memo_ids.assign(size, 0);
+      sc_.memo_stamps.assign(size, 0);
+      for (int32_t p = 0; p < id; ++p) {
+        MemoPut(MemoKey(sc_.plans[p].twig_node, sc_.plans[p].n), p);
+      }
+    }
+    MemoPut(key, id);
+  }
+
+  // The value site of twig node `tnode` at synopsis node n: -1 without a
+  // predicate, else the index of a new vf_sites entry.
+  int32_t AddVfSite(SynNodeId n, const query::TwigQuery::Node& tnode) {
+    if (!tnode.pred.has_value()) return -1;
     VfSite site;
-    if (!tnode.pred.has_value()) return site;  // kOne
     if (!fz_.node_has_values(n)) {
       // No element of n carries a value: the fraction is 0 regardless of
       // context (still a counted value-fraction site).
       site.kind = VfSite::Kind::kStatic;
       site.fraction = 0.0;
-      return site;
-    }
-    if (fz_.has_joint_values(n)) {
+    } else if (fz_.has_joint_values(n)) {
       const int64_t value_offset = fz_.value_offset(n);
       site.kind = VfSite::Kind::kDynamic;
       site.n = n;
@@ -829,11 +964,47 @@ class TwigCompiler::Builder {
               : tnode.pred->hi - value_offset);
       // Context-free fallback: the 1-D marginal.
       site.fraction = fz_.ValueFraction(n, tnode.pred->lo, tnode.pred->hi);
-      return site;
+    } else {
+      site.kind = VfSite::Kind::kStatic;
+      site.fraction = fz_.ValueFraction(n, tnode.pred->lo, tnode.pred->hi);
     }
-    site.kind = VfSite::Kind::kStatic;
-    site.fraction = fz_.ValueFraction(n, tnode.pred->lo, tnode.pred->hi);
-    return site;
+    sc_.vf_sites.push_back(site);
+    return static_cast<int32_t>(sc_.vf_sites.size() - 1);
+  }
+
+  // Stages one alternative of query child `c` from synopsis node `n`: the
+  // label path path[0..len) as steps, then its tail (value fraction and
+  // subtree plan at the path's end).
+  void StageChain(SynNodeId n, const SynNodeId* path, size_t len, int c) {
+    const auto& cnode = twig_.node(c);
+    CompiledTwig::Chain chain;
+    chain.step_begin = static_cast<uint32_t>(sc_.pending_steps.size());
+    chain.len = static_cast<uint32_t>(len);
+    SynNodeId cur = n;
+    for (size_t idx = 0; idx < len; ++idx) {
+      const SynNodeId next = path[idx];
+      CompiledTwig::Step st;
+      st.from = cur;
+      st.edge = fz_.FindEdge(cur, next);
+      XS_CHECK(st.edge != nullptr);
+      const int covered_dim = fz_.FindForwardDim(cur, next);
+      XS_CHECK(covered_dim < INT16_MAX);
+      st.covered_dim = static_cast<int16_t>(covered_dim);
+      if (idx > 0 && st.covered_dim >= 0) {
+        // Covered interior step: ChainTerm enumerates `cur`'s
+        // histogram unconditionally.
+        XS_CHECK(!fz_.hist_empty(cur));
+        st.points_kind =
+            fz_.has_bwd(cur) ? PointsKind::kRuntime : PointsKind::kStatic;
+      }
+      sc_.pending_steps.push_back(st);
+      cur = next;
+    }
+    chain.vf = AddVfSite(cur, cnode);
+    const size_t at = sc_.pending_chains.size();
+    sc_.pending_chains.push_back(chain);
+    const int32_t tail = CompilePlan(cur, c);
+    sc_.pending_chains[at].tail_plan = tail;
   }
 
   // Lowers EvalSubtree(n, t). Returns the plan id, or -1 when twig node t
@@ -841,11 +1012,8 @@ class TwigCompiler::Builder {
   int32_t CompilePlan(SynNodeId n, int t) {
     const auto& tnode = twig_.node(t);
     if (tnode.children.empty()) return -1;
-    const uint64_t key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(t)) << 32) | n;
-    if (auto it = plan_memo_.find(key); it != plan_memo_.end()) {
-      return it->second;
-    }
+    const uint64_t key = MemoKey(t, n);
+    if (const int32_t id = MemoFind(key); id >= 0) return id;
 
     // Mirrors the estimator's enumeration decision: condition-and-
     // enumerate the histogram iff some child's first step is covered, or
@@ -883,109 +1051,75 @@ class TwigCompiler::Builder {
 
     bool vector_fast = plan.points_kind == PointsKind::kStatic &&
                        !fz_.has_backward_dims();
-    std::vector<ChildRec> recs;
-    recs.reserve(tnode.children.size());
+    const size_t child_mark = sc_.pending_children.size();
+    const size_t chain_mark = sc_.pending_chains.size();
+    const size_t step_mark = sc_.pending_steps.size();
     for (int c : tnode.children) {
       const auto& cnode = twig_.node(c);
-      ChildRec rec;
-      rec.existential = cnode.existential;
-      rec.descendant = cnode.axis == query::Axis::kDescendant;
-      rec.twig_node = c;
+      CompiledTwig::Child child;
+      child.existential = cnode.existential;
+      child.descendant = cnode.axis == query::Axis::kDescendant;
+      child.twig_node = c;
       if (cnode.existential) vector_fast = false;
-      if (cnode.tag == query::kUnknownTag) {
-        rec.kind = CompiledTwig::Child::Kind::kZero;
-        plan.zero_child = true;
-        recs.push_back(std::move(rec));
-        continue;
-      }
+      // Pending-stack positions; rebased onto the flat arrays below.
+      child.chain_begin = static_cast<uint32_t>(sc_.pending_chains.size());
       // Alternatives: single-step chains for '/', label paths for '//'.
-      std::vector<std::vector<SynNodeId>> local_chains;
-      const std::vector<std::vector<SynNodeId>>* chains = nullptr;
-      if (cnode.axis == query::Axis::kChild) {
+      if (cnode.tag == query::kUnknownTag) {
+        // No alternative: a zero child.
+      } else if (cnode.axis == query::Axis::kChild) {
         for (const FrozenSynopsis::Edge* e = fz_.edges_begin(n);
              e != fz_.edges_end(n); ++e) {
-          if (e->child_tag == cnode.tag) local_chains.push_back({e->child});
+          if (e->child_tag == cnode.tag) StageChain(n, &e->child, 1, c);
         }
-        chains = &local_chains;
       } else {
-        chains = &compiler_.DescendantPaths(n, cnode.tag);
-      }
-      if (chains->empty()) {
-        rec.kind = CompiledTwig::Child::Kind::kZero;
-        plan.zero_child = true;
-        recs.push_back(std::move(rec));
-        continue;
-      }
-      for (const std::vector<SynNodeId>& chain : *chains) {
-        ChainRec cr;
-        SynNodeId cur = n;
-        for (size_t idx = 0; idx < chain.size(); ++idx) {
-          const SynNodeId next = chain[idx];
-          CompiledTwig::Step st;
-          st.from = cur;
-          st.to = next;
-          st.covered_dim = fz_.FindForwardDim(cur, next);
-          const FrozenSynopsis::Edge* e = fz_.FindEdge(cur, next);
-          XS_CHECK(e != nullptr);
-          st.avg = e->avg;
-          st.exist_frac = e->exist_frac;
-          st.avg_given_exist = e->avg_given_exist;
-          st.parent_zero = e->parent_zero != 0;
-          if (idx > 0 && st.covered_dim >= 0) {
-            // Covered interior step: ChainTerm enumerates `cur`'s
-            // histogram unconditionally.
-            XS_CHECK(!fz_.hist_empty(cur));
-            st.points_kind =
-                fz_.has_bwd(cur) ? PointsKind::kRuntime : PointsKind::kStatic;
-          }
-          if (idx + 1 == chain.size()) {
-            st.vf = MakeVfSite(next, cnode);
-            st.tail_plan = CompilePlan(next, c);
-          }
-          cr.steps.push_back(st);
-          cur = next;
+        for (const std::vector<SynNodeId>& path :
+             compiler_.DescendantPaths(n, cnode.tag)) {
+          StageChain(n, path.data(), path.size(), c);
         }
-        rec.chains.push_back(std::move(cr));
       }
-      recs.push_back(std::move(rec));
+      child.chain_end = static_cast<uint32_t>(sc_.pending_chains.size());
+      if (child.chain_begin == child.chain_end) {
+        child.kind = CompiledTwig::Child::Kind::kZero;
+        plan.zero_child = true;
+      }
+      sc_.pending_children.push_back(child);
     }
     if (plan.zero_child) vector_fast = false;
     plan.vector_fast = vector_fast;
 
-    // Append contiguously (recursion above may have appended other plans'
+    // Append contiguously (recursion above has appended other plans'
     // records in the meantime; ours land as one block).
-    plan.child_begin = static_cast<uint32_t>(out_->children_.size());
-    for (ChildRec& rec : recs) {
-      CompiledTwig::Child child;
-      child.kind = rec.kind;
-      child.existential = rec.existential;
-      child.descendant = rec.descendant;
-      child.twig_node = rec.twig_node;
-      child.chain_begin = static_cast<uint32_t>(out_->chains_.size());
-      for (ChainRec& cr : rec.chains) {
-        CompiledTwig::Chain ch;
-        ch.step_begin = static_cast<uint32_t>(out_->steps_.size());
-        ch.len = static_cast<uint32_t>(cr.steps.size());
-        out_->steps_.insert(out_->steps_.end(), cr.steps.begin(),
-                            cr.steps.end());
-        out_->chains_.push_back(ch);
-      }
-      child.chain_end = static_cast<uint32_t>(out_->chains_.size());
-      out_->children_.push_back(child);
+    const uint32_t chain_base = static_cast<uint32_t>(sc_.chains.size());
+    const uint32_t step_base = static_cast<uint32_t>(sc_.steps.size());
+    plan.child_begin = static_cast<uint32_t>(sc_.children.size());
+    for (size_t i = child_mark; i < sc_.pending_children.size(); ++i) {
+      CompiledTwig::Child child = sc_.pending_children[i];
+      child.chain_begin = chain_base + (child.chain_begin - chain_mark);
+      child.chain_end = chain_base + (child.chain_end - chain_mark);
+      sc_.children.push_back(child);
     }
-    plan.child_end = static_cast<uint32_t>(out_->children_.size());
+    for (size_t i = chain_mark; i < sc_.pending_chains.size(); ++i) {
+      CompiledTwig::Chain chain = sc_.pending_chains[i];
+      chain.step_begin = step_base + (chain.step_begin - step_mark);
+      sc_.chains.push_back(chain);
+    }
+    sc_.steps.insert(sc_.steps.end(), sc_.pending_steps.begin() + step_mark,
+                     sc_.pending_steps.end());
+    plan.child_end = static_cast<uint32_t>(sc_.children.size());
+    sc_.pending_children.resize(child_mark);
+    sc_.pending_chains.resize(chain_mark);
+    sc_.pending_steps.resize(step_mark);
 
-    const int32_t id = static_cast<int32_t>(out_->plans_.size());
-    out_->plans_.push_back(plan);
-    plan_memo_.emplace(key, id);
+    const int32_t id = static_cast<int32_t>(sc_.plans.size());
+    sc_.plans.push_back(plan);
+    MemoInsert(key, id);
     return id;
   }
 
   const TwigCompiler& compiler_;
   const FrozenSynopsis& fz_;
   const query::TwigQuery& twig_;
-  CompiledTwig* out_;
-  std::unordered_map<uint64_t, int32_t> plan_memo_;
+  Scratch& sc_;
 };
 
 util::Result<std::shared_ptr<const CompiledTwig>> TwigCompiler::Compile(
@@ -994,15 +1128,15 @@ util::Result<std::shared_ptr<const CompiledTwig>> TwigCompiler::Compile(
                       static_cast<uint64_t>(twig.size()));
   if (util::Status st = twig.Validate(); !st.ok()) return st;
   const auto start = std::chrono::steady_clock::now();
-  auto compiled = std::shared_ptr<CompiledTwig>(new CompiledTwig());
-  compiled->frozen_ = frozen_;
-  Builder(*this, twig, compiled.get()).Build();
+  Builder builder(*this, twig);
+  builder.Build();
+  std::shared_ptr<const CompiledTwig> compiled = builder.Emit();
   metric_compiles_->Increment();
   metric_compile_us_->Observe(
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - start)
           .count());
-  return std::shared_ptr<const CompiledTwig>(std::move(compiled));
+  return compiled;
 }
 
 }  // namespace xsketch::core

@@ -5,8 +5,13 @@
 // Uniformity divisions, histogram conditioning, value-fraction lookups.
 // TwigCompiler performs all of that statically, lowering a TwigQuery
 // against one FrozenSynopsis into a CompiledTwig — a flat instruction
-// sequence (plans / children / chains / steps in CSR arrays) that a tight
-// interpreter executes with no allocation on the common path.
+// sequence (plans / children / chains / steps / value sites in CSR
+// arrays) that a tight interpreter executes with no allocation on the
+// common path. A program is one exact-size block: the header and every
+// array back to back, SizeBytes() its exact size (what the service's
+// byte-bounded plan cache charges). The compiler lowers into reusable
+// per-thread scratch and copies the result into that block once, so a
+// warm compile allocates only the block.
 //
 //   * '//' expansion happens at compile time, memoized ACROSS queries in
 //     the compiler's shared DescendantPathCache (the same structure the
@@ -50,6 +55,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/estimator.h"
@@ -122,11 +128,16 @@ class CompiledTwig {
   size_t chain_count() const { return chains_.size(); }
   size_t step_count() const { return steps_.size(); }
   size_t root_count() const { return roots_.size(); }
-  size_t SizeBytes() const;
+  // Exact bytes of the program's one block: this header plus every
+  // instruction array (the plan cache charges programs by it).
+  size_t SizeBytes() const { return size_bytes_; }
 
  private:
   friend class TwigCompiler;
   CompiledTwig() = default;
+  // Only the deleter TwigCompiler installs destroys a program: the header
+  // heads a raw block it must also free.
+  ~CompiledTwig() = default;
 
   // How a plan (or a covered chain step) obtains its histogram points.
   enum class PointsKind : uint8_t {
@@ -136,40 +147,39 @@ class CompiledTwig {
   };
 
   // Value-predicate site at a twig node evaluated at a synopsis node.
+  // Chain tails and roots refer to sites by index into vf_sites_; -1 means
+  // no predicate (factor 1, no stats entry).
   struct VfSite {
     enum class Kind : uint8_t {
-      kOne,      // no predicate: factor 1, no stats entry
       kStatic,   // fraction precomputed at compile time
       kDynamic,  // joint H^v(V,C..) conditioning on the runtime context
     };
-    Kind kind = Kind::kOne;
     double fraction = 1.0;  // kStatic value; kDynamic context-free fallback
-    SynNodeId n = kInvalidSynNode;          // kDynamic
     double lo_coord = 0.0, hi_coord = 0.0;  // kDynamic histogram coords
+    SynNodeId n = kInvalidSynNode;          // kDynamic
+    Kind kind = Kind::kStatic;
   };
 
-  // One synopsis edge traversal inside a chain. `avg`, `exist_frac`,
-  // `avg_given_exist` are the frozen pre-divided Forward Uniformity
-  // quantities; the last step of a chain carries the tail (value fraction
-  // + subtree plan).
+  // One synopsis edge traversal inside a chain: from -> edge->child. The
+  // frozen edge carries the pre-divided Forward Uniformity quantities
+  // (avg, exist_frac, avg_given_exist, parent_zero).
   struct Step {
+    const FrozenSynopsis::Edge* edge = nullptr;
     SynNodeId from = kInvalidSynNode;
-    SynNodeId to = kInvalidSynNode;
-    int covered_dim = -1;  // forward dim of `from` covering this edge
+    int16_t covered_dim = -1;  // forward dim of `from` covering this edge
     PointsKind points_kind = PointsKind::kStatic;  // enumeration at `from`
                                                    // (covered steps, idx>0)
-    double avg = 0.0;
-    double exist_frac = 0.0;
-    double avg_given_exist = 0.0;
-    bool parent_zero = false;
-    int32_t tail_plan = -1;  // last step: subtree plan (-1 = leaf, 1.0)
-    VfSite vf;               // last step: value fraction at `to`
+    SynNodeId to() const { return edge->child; }
   };
 
-  // One alternative embedding (synopsis label path) of a query step.
+  // One alternative embedding (synopsis label path) of a query step, and
+  // its tail: the value fraction at the last step's `to` and the subtree
+  // plan below it.
   struct Chain {
     uint32_t step_begin = 0;
     uint32_t len = 0;
+    int32_t tail_plan = -1;  // -1 = leaf (factor 1.0)
+    int32_t vf = -1;         // tail value site (vf_sites_), -1 = none
   };
 
   // One query child evaluated from a plan's synopsis node.
@@ -204,11 +214,11 @@ class CompiledTwig {
 
   // One root alternative of the twig (extent enumeration).
   struct Root {
-    SynNodeId n = kInvalidSynNode;
     double count = 0.0;
-    bool mul_count = false;  // descendant-axis root: term = count*vf*sub
-    VfSite vf;
+    SynNodeId n = kInvalidSynNode;
     int32_t plan = -1;
+    int32_t vf = -1;         // value site (vf_sites_), -1 = none
+    bool mul_count = false;  // descendant-axis root: term = count*vf*sub
   };
 
   // What explain labels need of one query node; indexed by twig node.
@@ -224,12 +234,17 @@ class CompiledTwig {
   class ExplainRecorder;
 
   std::shared_ptr<const FrozenSynopsis> frozen_;
-  std::vector<Plan> plans_;
-  std::vector<Child> children_;
-  std::vector<Chain> chains_;
-  std::vector<Step> steps_;
-  std::vector<Root> roots_;
-  std::vector<TwigNode> twig_nodes_;
+  // Views into the block this header heads: plans, children, chains,
+  // steps, value sites, roots and query nodes, each array exactly sized,
+  // laid out back to back after the header (TwigCompiler::Builder::Emit).
+  std::span<const Plan> plans_;
+  std::span<const Child> children_;
+  std::span<const Chain> chains_;
+  std::span<const Step> steps_;
+  std::span<const VfSite> vf_sites_;
+  std::span<const Root> roots_;
+  std::span<const TwigNode> twig_nodes_;
+  size_t size_bytes_ = 0;
   bool enumerate_all_ = false;  // sketch has backward dims: memo off,
                                 // every histogram node enumerates
   int path_length_cap_ = 0;

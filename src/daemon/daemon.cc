@@ -1,6 +1,7 @@
 #include "daemon/daemon.h"
 
 #include <chrono>
+#include <string_view>
 #include <thread>
 
 #include "net/json.h"
@@ -14,15 +15,28 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Parses a query in either surface syntax: path expressions and
-// for-clauses (query/xpath_parser.h). A for-clause always contains
-// " in " (variable binding), a path never does.
+// The two surface syntaxes (query/xpath_parser.h): a for-clause always
+// contains " in " (variable binding), a path never does.
+bool IsForClause(std::string_view text) {
+  return text.find(" in ") != std::string_view::npos;
+}
+
+// Parses a query in either surface syntax.
 util::Result<query::TwigQuery> ParseQueryText(
     const std::string& text, const util::StringInterner& tags) {
-  if (text.find(" in ") != std::string::npos) {
-    return query::ParseForClause(text, tags);
-  }
+  if (IsForClause(text)) return query::ParseForClause(text, tags);
   return query::ParsePath(text, tags);
+}
+
+// Prepares a query in either surface syntax. Path texts go through the
+// service's text-keyed Prepare, so a repeated path is not parsed again;
+// for-clauses are parsed, then prepared as twigs.
+util::Result<std::shared_ptr<const core::CompiledTwig>> PrepareQueryText(
+    const service::EstimationService& service, const std::string& text) {
+  if (!IsForClause(text)) return service.Prepare(std::string_view(text));
+  auto twig = query::ParseForClause(text, service.tags());
+  if (!twig.ok()) return twig.status();
+  return service.Prepare(twig.value());
 }
 
 std::string JsonError(const std::string& message) {
@@ -438,14 +452,7 @@ void Daemon::HandleEstimate(const std::string& doc, const std::string& query,
     responder.Send(ErrorResponse(handle.status(), binary));
     return;
   }
-  const service::EstimationService& service = handle.value().service();
-  auto twig = ParseQueryText(query, service.tags());
-  if (!twig.ok()) {
-    metrics_.errors.Increment();
-    responder.Send(ErrorResponse(twig.status(), binary));
-    return;
-  }
-  auto plan = service.Prepare(twig.value());
+  auto plan = PrepareQueryText(handle.value().service(), query);
   if (!plan.ok()) {
     metrics_.errors.Increment();
     responder.Send(ErrorResponse(plan.status(), binary));
@@ -601,13 +608,7 @@ void Daemon::HandleExplain(const std::string& doc, const std::string& query,
     responder.Send(ErrorResponse(handle.status(), /*binary=*/false));
     return;
   }
-  auto twig = ParseQueryText(query, handle.value().service().tags());
-  if (!twig.ok()) {
-    metrics_.errors.Increment();
-    responder.Send(ErrorResponse(twig.status(), /*binary=*/false));
-    return;
-  }
-  auto plan = handle.value().Prepare(twig.value());
+  auto plan = PrepareQueryText(handle.value().service(), query);
   if (!plan.ok()) {
     metrics_.errors.Increment();
     responder.Send(ErrorResponse(plan.status(), /*binary=*/false));

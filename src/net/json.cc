@@ -271,6 +271,34 @@ class Parser {
     return Error("unterminated string");
   }
 
+  // RFC 8259 number grammar: [-] (0 | [1-9][0-9]*) [. [0-9]+]
+  // [(e|E) [+|-] [0-9]+]. strtod alone would also take "+1", ".5", "01"
+  // and "1.".
+  static bool IsJsonNumber(std::string_view t) {
+    size_t i = 0;
+    auto digits = [&] {
+      const size_t from = i;
+      while (i < t.size() && t[i] >= '0' && t[i] <= '9') ++i;
+      return i > from;
+    };
+    if (i < t.size() && t[i] == '-') ++i;
+    if (i < t.size() && t[i] == '0') {
+      ++i;
+    } else if (i >= t.size() || t[i] < '1' || t[i] > '9' || !digits()) {
+      return false;
+    }
+    if (i < t.size() && t[i] == '.') {
+      ++i;
+      if (!digits()) return false;
+    }
+    if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+      ++i;
+      if (i < t.size() && (t[i] == '+' || t[i] == '-')) ++i;
+      if (!digits()) return false;
+    }
+    return i == t.size();
+  }
+
   util::Status ParseNumber(JsonValue* out) {
     const size_t start = pos_;
     if (Consume('-')) {}
@@ -282,6 +310,7 @@ class Parser {
     }
     if (pos_ == start) return Error("expected a value");
     const std::string token(text_.substr(start, pos_ - start));
+    if (!IsJsonNumber(token)) return Error("bad number '" + token + "'");
     char* end = nullptr;
     const double v = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size() || !std::isfinite(v)) {

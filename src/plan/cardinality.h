@@ -43,7 +43,7 @@ class CardinalityProvider {
   virtual std::string_view name() const = 0;
 };
 
-// XSKETCH estimates via the serving path: Prepare (LRU plan cache) +
+// XSKETCH estimates via the serving path: Prepare (plan cache) +
 // compiled Execute — bit-identical to the interpreter, so planner
 // decisions cannot depend on which path a deployment wires in. The
 // service must outlive the provider.

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "obs/flight.h"
 #include "obs/trace.h"
+#include "query/xpath_parser.h"
 #include "util/check.h"
 #include "util/percentiles.h"
 
@@ -22,18 +22,22 @@ double MicrosBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
-}  // namespace
+// The calling thread's canonical-key buffer: after a thread's first
+// Prepare, encoding a key allocates nothing.
+std::string& KeyBuffer() {
+  static thread_local std::string key;
+  return key;
+}
 
+// Appends CanonicalTwigKey(twig) to `out`, which keeps its capacity.
 // Plan-cache keying (see the header comment): the explicit length
 // prefixes make the encoding self-delimiting by construction — no record
 // can absorb bytes of its neighbor, so two distinct twigs can never
 // concatenate to the same key (defense in depth on top of the fixed-width
 // record layout).
-std::string CanonicalTwigKey(const query::TwigQuery& twig) {
-  std::string key;
-  key.reserve(4 + static_cast<size_t>(twig.size()) * 28);
-  auto put = [&key](const void* p, size_t n) {
-    key.append(static_cast<const char*>(p), n);
+void AppendCanonicalTwigKey(const query::TwigQuery& twig, std::string* out) {
+  auto put = [out](const void* p, size_t n) {
+    out->append(static_cast<const char*>(p), n);
   };
   const int32_t node_count = twig.size();
   put(&node_count, sizeof(node_count));
@@ -55,6 +59,14 @@ std::string CanonicalTwigKey(const query::TwigQuery& twig) {
     const int32_t parent = static_cast<int32_t>(node.parent);
     put(&parent, sizeof(parent));
   }
+}
+
+}  // namespace
+
+std::string CanonicalTwigKey(const query::TwigQuery& twig) {
+  std::string key;
+  key.reserve(4 + static_cast<size_t>(twig.size()) * 28);
+  AppendCanonicalTwigKey(twig, &key);
   return key;
 }
 
@@ -117,63 +129,67 @@ EstimationService::Prepare(const query::TwigQuery& twig) const {
 }
 
 util::Result<std::shared_ptr<const core::CompiledTwig>>
+EstimationService::Prepare(std::string_view path) const {
+  const uint64_t text_hash = PlanCache::Hash(path);
+  {
+    obs::SpanScope cache_span(obs::Stage::kPlanCache);
+    if (auto plan = plan_cache_.FindText(path, text_hash)) {
+      plan_cache_lookups_.Increment();
+      plan_cache_hits_.Increment();
+      cache_span.set_arg(1);  // hit
+      return plan;
+    }
+  }
+  auto twig = query::ParsePath(path, tags());
+  if (!twig.ok()) return twig.status();
+  return PrepareAttributed(twig.value(), nullptr, path, text_hash);
+}
+
+util::Result<std::shared_ptr<const core::CompiledTwig>>
 EstimationService::PrepareAttributed(const query::TwigQuery& twig,
-                                     QueryAttribution* attr) const {
+                                     QueryAttribution* attr,
+                                     std::string_view text,
+                                     uint64_t text_hash) const {
   const Clock::time_point prep_start =
       attr != nullptr ? Clock::now() : Clock::time_point{};
   if (util::Status st = twig.Validate(); !st.ok()) return st;
-  std::string key = CanonicalTwigKey(twig);
+  std::string& key = KeyBuffer();
+  key.clear();
+  AppendCanonicalTwigKey(twig, &key);
+  const uint64_t hash = PlanCache::Hash(key);
   obs::SpanScope cache_span(obs::Stage::kPlanCache);
   plan_cache_lookups_.Increment();
   if (attr != nullptr) attr->plan_cache_lookup = true;
-  {
-    std::lock_guard<std::mutex> lock(plan_mu_);
-    auto it = plan_index_.find(key);
-    if (it != plan_index_.end()) {
-      plan_cache_hits_.Increment();
-      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
-      cache_span.set_arg(1);  // hit
-      if (attr != nullptr) {
-        attr->key = std::move(key);
-        attr->plan_cache_hit = true;
-        attr->prepare_us = MicrosBetween(prep_start, Clock::now());
-      }
-      return it->second->plan;
+  if (auto plan = plan_cache_.FindTwig(key, hash, text, text_hash)) {
+    plan_cache_hits_.Increment();
+    cache_span.set_arg(1);  // hit
+    if (attr != nullptr) {
+      attr->key = key;
+      attr->plan_cache_hit = true;
+      attr->prepare_us = MicrosBetween(prep_start, Clock::now());
     }
+    return plan;
   }
-  // Miss: compile outside the lock (the compiler is const and thread-safe;
-  // a racing thread compiling the same shape produces an identical
-  // program, and first-insert wins below).
+  // Miss: compile outside the cache's locks (the compiler is const and
+  // thread-safe; a racing thread compiling the same shape produces an
+  // identical program, and first-insert wins).
   const Clock::time_point compile_start =
       attr != nullptr ? Clock::now() : Clock::time_point{};
   auto compiled = compiler_->Compile(twig);
   if (attr != nullptr) {
     attr->compile_us = MicrosBetween(compile_start, Clock::now());
+    attr->key = key;
   }
   if (!compiled.ok()) {
     if (attr != nullptr) {
-      attr->key = std::move(key);
       attr->prepare_us = MicrosBetween(prep_start, Clock::now());
     }
     return compiled.status();
   }
-  std::shared_ptr<const core::CompiledTwig> plan = compiled.value();
+  PlanCache::Program plan =
+      plan_cache_.Insert(key, hash, compiled.value(), text, text_hash);
   if (attr != nullptr) {
-    attr->key = key;
     attr->prepare_us = MicrosBetween(prep_start, Clock::now());
-  }
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  auto it = plan_index_.find(key);
-  if (it != plan_index_.end()) {
-    plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second);
-    return it->second->plan;
-  }
-  plan_lru_.push_front(PlanEntry{std::move(key), plan});
-  plan_index_.emplace(plan_lru_.front().key, plan_lru_.begin());
-  while (plan_lru_.size() > kPlanCacheCapacity) {
-    plan_index_.erase(plan_lru_.back().key);
-    plan_lru_.pop_back();
-    plan_cache_evictions_.Increment();
   }
   return plan;
 }
@@ -184,9 +200,10 @@ EstimationService::PlanCacheCounters EstimationService::plan_cache_counters()
   PlanCacheCounters c;
   c.hits = plan_cache_hits_.value();
   c.lookups = plan_cache_lookups_.value();
-  c.evictions = plan_cache_evictions_.value();
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  c.size = plan_lru_.size();
+  const PlanCache::Stats cache = plan_cache_.stats();
+  c.evictions = cache.evictions;
+  c.size = cache.programs;
+  c.bytes = cache.bytes;
   return c;
 }
 

@@ -16,9 +16,12 @@
 // Status::InvalidArgument entries, never aborts, and never poison the rest
 // of the batch.
 //
-// Prepare() returns a shareable program through an internal LRU plan cache
-// of kPlanCacheCapacity programs keyed by the twig's canonical byte
-// encoding, so repeated query shapes skip lowering entirely;
+// Prepare() returns a shareable program through the service's plan cache
+// (service/plan_cache.h): at most kPlanCacheBytes of compiled programs,
+// each charged its exact size, found by the twig's canonical byte
+// encoding or by a path text that parsed to it, so a repeated path text
+// skips parsing and every repeated shape skips lowering; CLOCK eviction
+// keeps programs that are hit resident past bursts of one-off shapes.
 // EstimateBatch and Estimate route through the same cache.
 //
 // Tracing (obs/trace.h) is the caller's decision: a batch or estimate
@@ -33,19 +36,18 @@
 
 #include <chrono>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/compile.h"
 #include "core/frozen.h"
 #include "obs/metrics.h"
 #include "query/twig.h"
+#include "service/plan_cache.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -102,8 +104,10 @@ struct BatchStats {
 
 class EstimationService {
  public:
-  // Compiled programs kept in the LRU plan cache.
-  static constexpr size_t kPlanCacheCapacity = 256;
+  // Bytes of compiled programs the plan cache keeps: each program is
+  // charged its exact CompiledTwig::SizeBytes() plus its keys'
+  // bookkeeping (PlanCache).
+  static constexpr size_t kPlanCacheBytes = PlanCache::kBudgetBytes;
 
   // A service over `frozen` — heap-frozen from a TwigXSketch or
   // mmap-loaded from an XSK3 file (core/frozen_io.h); validates
@@ -145,20 +149,31 @@ class EstimationService {
   util::Result<core::EstimateStats> Estimate(
       const query::TwigQuery& twig) const;
 
-  // Lowers `twig` to a compiled program through the LRU plan cache:
-  // repeated shapes return the cached program, new shapes compile and may
-  // evict the least-recently-used entry. Malformed twigs return
-  // InvalidArgument. The returned program is immutable, shareable across
-  // threads, and valid while this service is alive (it references the
-  // service's frozen synopsis). Thread-safe.
+  // Lowers `twig` to a compiled program through the plan cache: repeated
+  // shapes return the cached program, new shapes compile and may evict
+  // programs not hit since the cache's clock hand last passed them.
+  // Malformed twigs return InvalidArgument. The returned program is
+  // immutable, shareable across threads, and keeps the service's frozen
+  // synopsis alive. Thread-safe; a hit allocates nothing.
   util::Result<std::shared_ptr<const core::CompiledTwig>> Prepare(
       const query::TwigQuery& twig) const;
 
+  // Prepare for a path text ("//a[b]/c[d>5]", query/xpath_parser.h) parsed
+  // against tags(). A text seen before returns its program without being
+  // parsed; a new text is parsed and then prepared as its twig, so texts
+  // differing only in whitespace share one program. Parse errors are
+  // returned and never cached.
+  util::Result<std::shared_ptr<const core::CompiledTwig>> Prepare(
+      std::string_view path) const;
+
   struct PlanCacheCounters {
+    // One lookup per Prepare that reached the cache: a text found as is,
+    // or a twig that passed validation.
     uint64_t lookups = 0;
     uint64_t hits = 0;
-    uint64_t evictions = 0;
-    size_t size = 0;  // programs currently cached
+    uint64_t evictions = 0;  // programs evicted
+    size_t size = 0;         // programs currently cached
+    size_t bytes = 0;        // bytes charged, <= kPlanCacheBytes
   };
   // Lifetime plan-cache activity for this service (the registry's
   // xsketch_service_plan_cache_*_total series sum it over all services).
@@ -188,9 +203,12 @@ class EstimationService {
   };
 
   // Prepare with optional attribution (attr may be null: the public
-  // Prepare() path, which skips the extra clock reads).
+  // Prepare() paths, which skip the extra clock reads). A non-empty `text`
+  // is the path text `twig` was parsed from, cached as one more key of
+  // the program.
   util::Result<std::shared_ptr<const core::CompiledTwig>> PrepareAttributed(
-      const query::TwigQuery& twig, QueryAttribution* attr) const;
+      const query::TwigQuery& twig, QueryAttribution* attr,
+      std::string_view text = {}, uint64_t text_hash = 0) const;
 
   // One query: Prepare + ExecuteWithStats, attributed, with
   // kPlanCache/kExecute spans when traced.
@@ -217,34 +235,21 @@ class EstimationService {
     obs::Gauge* inflight;
   };
 
-  // LRU plan cache: most-recently-used at the front of the list; the map
-  // indexes entries by the twig's canonical byte encoding. Guarded by
-  // plan_mu_ (compilation itself happens outside the lock — a racing
-  // thread may compile the same shape twice; both programs are identical
-  // and first-insert wins).
-  struct PlanEntry {
-    std::string key;
-    std::shared_ptr<const core::CompiledTwig> plan;
-  };
-  using PlanList = std::list<PlanEntry>;
-
   ServiceOptions options_;
   // The synopsis every program executes over: self-contained (owns or
   // pins its storage).
   std::shared_ptr<const core::FrozenSynopsis> frozen_;
   std::unique_ptr<const core::TwigCompiler> compiler_;
-  mutable std::mutex plan_mu_;
-  mutable PlanList plan_lru_;
-  mutable std::unordered_map<std::string, PlanList::iterator> plan_index_;
+  // Compilation happens outside the cache's locks: a racing thread may
+  // compile the same shape twice; both programs are identical and
+  // first-insert wins.
+  mutable PlanCache plan_cache_;
   // This service's plan-cache activity (see plan_cache_counters()).
   mutable obs::OwnedCounter plan_cache_lookups_{
       "xsketch_service_plan_cache_lookups_total",
       "compiled-plan cache lookups"};
   mutable obs::OwnedCounter plan_cache_hits_{
       "xsketch_service_plan_cache_hits_total", "compiled-plan cache hits"};
-  mutable obs::OwnedCounter plan_cache_evictions_{
-      "xsketch_service_plan_cache_evictions_total",
-      "compiled plans evicted from the LRU cache"};
   int num_threads_ = 1;
   // Batch workers; null when num_threads_ == 1 (batches run inline).
   std::unique_ptr<util::ThreadPool> pool_;

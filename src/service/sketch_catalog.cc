@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "query/xpath_parser.h"
 #include "util/check.h"
 
 namespace xsketch::service {
@@ -21,9 +20,7 @@ SketchHandle::Prepare(const std::string& path) const {
   if (!valid()) {
     return util::Status::InvalidArgument("empty sketch handle");
   }
-  auto twig = query::ParsePath(path, service_->tags());
-  if (!twig.ok()) return twig.status();
-  return Prepare(twig.value());
+  return service_->Prepare(std::string_view(path));
 }
 
 util::Result<std::unique_ptr<SketchCatalog>> SketchCatalog::Create(

@@ -85,8 +85,9 @@ class SketchHandle {
   // mapping) alive.
   util::Result<std::shared_ptr<const core::CompiledTwig>> Prepare(
       const query::TwigQuery& twig) const;
-  // Parses a '/tag//tag[lo..hi]' path against the snapshot's tag table,
-  // then Prepare.
+  // Prepares a '/tag//tag[lo..hi]' path parsed against the snapshot's tag
+  // table (EstimationService::Prepare(string_view): a repeated text is
+  // found without parsing).
   util::Result<std::shared_ptr<const core::CompiledTwig>> Prepare(
       const std::string& path) const;
 

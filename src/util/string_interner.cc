@@ -5,7 +5,7 @@
 namespace xsketch::util {
 
 uint32_t StringInterner::Intern(std::string_view s) {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it != index_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(strings_.size());
   strings_.emplace_back(s);
@@ -14,7 +14,7 @@ uint32_t StringInterner::Intern(std::string_view s) {
 }
 
 uint32_t StringInterner::Lookup(std::string_view s) const {
-  auto it = index_.find(std::string(s));
+  auto it = index_.find(s);
   if (it == index_.end()) return kNotFound;
   return it->second;
 }

@@ -7,6 +7,7 @@
 #define XSKETCH_UTIL_STRING_INTERNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,7 +31,15 @@ class StringInterner {
   size_t size() const { return strings_.size(); }
 
  private:
-  std::unordered_map<std::string, uint32_t> index_;
+  // Transparent hash and equality: Lookup/Intern probe with the caller's
+  // string_view, building no std::string.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> index_;
   std::vector<std::string> strings_;
 };
 

@@ -128,7 +128,7 @@ class PreparedQuery {
 };
 
 // One synopsis opened for querying: owns the frozen synopsis, the
-// compiler with its cross-query expansion cache, the LRU plan cache,
+// compiler with its cross-query expansion cache, the plan cache,
 // and the batch thread pool (all via the underlying EstimationService;
 // a one-thread session runs batches on the calling thread).
 // Copyable shared handle; all methods are const and thread-safe.
@@ -166,20 +166,21 @@ class Session {
     return Open(std::move(frozen).value(), options);
   }
 
-  // Lowers a validated twig to a compiled program (LRU-cached across
-  // calls: preparing the same shape twice returns the cached program).
+  // Lowers a validated twig to a compiled program (cached across calls:
+  // preparing the same shape twice returns the cached program).
   util::Result<PreparedQuery> Prepare(const query::TwigQuery& twig) const {
     auto plan = service_->Prepare(twig);
     if (!plan.ok()) return plan.status();
     return PreparedQuery(std::move(plan).value());
   }
 
-  // Convenience: parse an XPath-style path ("//a[b]/c[d>5]") against the
-  // session's tag table, then Prepare it.
+  // Prepares an XPath-style path ("//a[b]/c[d>5]") parsed against the
+  // session's tag table. The plan cache also keys programs by path text,
+  // so a repeated text is not parsed again.
   util::Result<PreparedQuery> Prepare(std::string_view path) const {
-    auto twig = query::ParsePath(path, service_->tags());
-    if (!twig.ok()) return twig.status();
-    return Prepare(twig.value());
+    auto plan = service_->Prepare(path);
+    if (!plan.ok()) return plan.status();
+    return PreparedQuery(std::move(plan).value());
   }
 
   // One-shot estimate with diagnostics: Prepare + execute (still through

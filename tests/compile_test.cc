@@ -1,14 +1,17 @@
 // Tests for the compiled query path: FrozenSynopsis snapshot invariants,
 // TwigCompiler lowering (including the max_path_length resolution the
 // compiler performs once per sketch), bit-identity of CompiledTwig
-// execution against the reference estimator, the service's LRU plan
-// cache, and concurrent Prepare/Execute (a ThreadSanitizer target driven
-// by tests/run_sanitizers.sh).
+// execution against the reference estimator, the service's byte-bounded
+// plan cache, and concurrent Prepare/Execute (a ThreadSanitizer target
+// driven by tests/run_sanitizers.sh).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
+#include <string_view>
 #include <memory>
 #include <span>
 #include <string>
@@ -27,6 +30,24 @@
 #include "service/estimation_service.h"
 #include "xsketch_api.h"
 #include "test_env.h"
+
+// Counts the calling thread's operator new calls, so a test can show a
+// code path allocates nothing. Deallocation is replaced alongside so the
+// sanitizers see one allocator for both; it is kept out of line, or GCC
+// inlines free() against a `new` call and warns of a mismatch.
+namespace {
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace xsketch::core {
 namespace {
@@ -223,19 +244,6 @@ TEST(CompiledTwigTest, TruncatedPathLengthCapMatchesEstimator) {
 
 // --- Plan cache ----------------------------------------------------------
 
-// `count` distinct plan-cache shapes over the bibliography: //paper[year>i].
-std::vector<query::TwigQuery> PredicateShapes(const xml::Document& doc,
-                                              size_t count) {
-  std::vector<query::TwigQuery> queries;
-  for (size_t i = 0; i < count; ++i) {
-    auto q = query::ParsePath("//paper[year>" + std::to_string(i) + "]",
-                              doc.tags());
-    EXPECT_TRUE(q.ok()) << i;
-    queries.push_back(std::move(q).value());
-  }
-  return queries;
-}
-
 TEST(PlanCacheTest, RepeatedPrepareHitsAndReturnsSharedProgram) {
   xml::Document doc = data::MakeBibliography();
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
@@ -256,39 +264,196 @@ TEST(PlanCacheTest, RepeatedPrepareHitsAndReturnsSharedProgram) {
   EXPECT_EQ(c.size, 1u);
 }
 
-TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
+// Prepares distinct shapes (//paper[year>i], i = 0, 1, ...) until the
+// cache has evicted, checking the byte budget after every insert.
+// Returns the number of shapes prepared.
+size_t OverflowPlanCache(const service::EstimationService& svc,
+                         const xml::Document& doc) {
+  constexpr size_t kBudget = service::EstimationService::kPlanCacheBytes;
+  size_t i = 0;
+  while (svc.plan_cache_counters().evictions == 0) {
+    auto q = query::ParsePath("//paper[year>" + std::to_string(i) + "]",
+                              doc.tags());
+    EXPECT_TRUE(q.ok()) << i;
+    EXPECT_TRUE(svc.Prepare(q.value()).ok()) << i;
+    EXPECT_LE(svc.plan_cache_counters().bytes, kBudget) << i;
+    if (++i > 100 * kBudget / 1024) {
+      ADD_FAILURE() << "no eviction after " << i << " shapes";
+      break;
+    }
+  }
+  return i;
+}
+
+TEST(PlanCacheTest, ResidentBytesStayWithinBudget) {
+  xml::Document doc = data::MakeBibliography();
+  TwigXSketch sketch = TwigXSketch::Coarsest(doc);
+  auto svc = service::EstimationService::Create(Freeze(sketch));
+  ASSERT_TRUE(svc.ok());
+  constexpr size_t kBudget = service::EstimationService::kPlanCacheBytes;
+
+  // Every program is charged its exact size plus bookkeeping.
+  auto one = svc.value()->Prepare(std::string_view("//paper[year>0]"));
+  ASSERT_TRUE(one.ok());
+  auto c = svc.value()->plan_cache_counters();
+  EXPECT_EQ(c.size, 1u);
+  EXPECT_GT(c.bytes, one.value()->SizeBytes());
+
+  const size_t shapes = OverflowPlanCache(*svc.value(), doc);
+  c = svc.value()->plan_cache_counters();
+  EXPECT_GT(c.evictions, 0u);
+  EXPECT_LT(c.size, shapes);
+  EXPECT_LE(c.bytes, kBudget);
+  // The budget is used, not just respected: each shard fills to within
+  // one entry of its share before it evicts.
+  EXPECT_GT(c.bytes, kBudget / 2);
+
+  // Twice as many shapes again: the bound holds through steady eviction.
+  for (size_t i = shapes; i < 3 * shapes; ++i) {
+    ASSERT_TRUE(svc.value()
+                    ->Prepare("//paper[year>" + std::to_string(i) + "]")
+                    .ok());
+    ASSERT_LE(svc.value()->plan_cache_counters().bytes, kBudget) << i;
+  }
+  EXPECT_GT(svc.value()->plan_cache_counters().evictions, shapes);
+}
+
+TEST(PlanCacheTest, ReferencedHotShapeSurvivesOneOffScan) {
   xml::Document doc = data::MakeBibliography();
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
   auto svc = service::EstimationService::Create(Freeze(sketch));
   ASSERT_TRUE(svc.ok());
 
-  // kPlanCacheCapacity + 1 distinct shapes: the predicate bound is part
-  // of the canonical key.
-  constexpr size_t kCapacity = service::EstimationService::kPlanCacheCapacity;
-  const std::vector<query::TwigQuery> queries =
-      PredicateShapes(doc, kCapacity + 1);
+  auto hot = query::ParsePath("//author[book]/paper/keyword", doc.tags());
+  ASSERT_TRUE(hot.ok());
+  auto first = svc.value()->Prepare(hot.value());
+  ASSERT_TRUE(first.ok());
+  // A scan of one-off shapes three times larger than the budget, the hot
+  // shape hit every 16 of them: it is never evicted (a recompile would
+  // return a different program, since `first` keeps the old one alive).
+  const size_t scan = 3 * OverflowPlanCache(*svc.value(), doc);
+  size_t hot_hits = 0;
+  for (size_t i = 0; i < scan; ++i) {
+    ASSERT_TRUE(svc.value()
+                    ->Prepare("//book[year>" + std::to_string(i) + "]")
+                    .ok());
+    if (i % 16 == 0) {
+      auto again = svc.value()->Prepare(hot.value());
+      ASSERT_TRUE(again.ok());
+      ASSERT_EQ(again.value().get(), first.value().get()) << i;
+      ++hot_hits;
+    }
+  }
+  const auto c = svc.value()->plan_cache_counters();
+  EXPECT_GT(c.evictions, scan);
+  EXPECT_GE(c.hits, hot_hits);
+}
 
-  // Fill to capacity, then overflow: the least recently used entry
-  // (queries[0]) is evicted.
-  for (const auto& q : queries) ASSERT_TRUE(svc.value()->Prepare(q).ok());
-  auto c = svc.value()->plan_cache_counters();
-  EXPECT_EQ(c.lookups, kCapacity + 1);
+TEST(PlanCacheTest, TextAndTwigKeysShareOneProgram) {
+  xml::Document doc = data::MakeBibliography();
+  TwigXSketch sketch = TwigXSketch::Coarsest(doc);
+  auto svc = service::EstimationService::Create(Freeze(sketch));
+  ASSERT_TRUE(svc.ok());
+  const service::EstimationService& s = *svc.value();
+
+  auto by_text = s.Prepare(std::string_view("//author[book]/paper"));
+  ASSERT_TRUE(by_text.ok());
+  auto twig = query::ParsePath("//author[book]/paper", doc.tags());
+  ASSERT_TRUE(twig.ok());
+  auto by_twig = s.Prepare(twig.value());
+  ASSERT_TRUE(by_twig.ok());
+  // Whitespace variants parse to the same twig: the first is found by its
+  // twig key (and becomes a text key itself), the repeat by its text.
+  constexpr std::string_view kSpaced = " // author [ book ] / paper ";
+  auto spaced = s.Prepare(kSpaced);
+  ASSERT_TRUE(spaced.ok());
+  auto spaced_again = s.Prepare(kSpaced);
+  ASSERT_TRUE(spaced_again.ok());
+  auto text_again = s.Prepare(std::string_view("//author[book]/paper"));
+  ASSERT_TRUE(text_again.ok());
+
+  for (const auto* p : {&by_twig, &spaced, &spaced_again, &text_again}) {
+    EXPECT_EQ(p->value().get(), by_text.value().get());
+  }
+  const auto c = s.plan_cache_counters();
+  EXPECT_EQ(c.lookups, 5u);
+  EXPECT_EQ(c.hits, 4u);
+  EXPECT_EQ(c.size, 1u);  // one program, charged once
+  EXPECT_EQ(c.evictions, 0u);
+
+  // A text key never aliases a twig of different bytes.
+  auto other = s.Prepare(std::string_view("//author[book]/paper[year>1]"));
+  ASSERT_TRUE(other.ok());
+  EXPECT_NE(other.value().get(), by_text.value().get());
+  EXPECT_EQ(s.plan_cache_counters().size, 2u);
+}
+
+TEST(PlanCacheTest, ParseErrorsAreNeverCached) {
+  xml::Document doc = data::MakeBibliography();
+  TwigXSketch sketch = TwigXSketch::Coarsest(doc);
+  auto svc = service::EstimationService::Create(Freeze(sketch));
+  ASSERT_TRUE(svc.ok());
+
+  auto first = svc.value()->Prepare(std::string_view("//[broken"));
+  ASSERT_FALSE(first.ok());
+  auto second = svc.value()->Prepare(std::string_view("//[broken"));
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().ToString(), first.status().ToString());
+  const auto c = svc.value()->plan_cache_counters();
+  EXPECT_EQ(c.lookups, 0u);
   EXPECT_EQ(c.hits, 0u);
-  EXPECT_EQ(c.evictions, 1u);
-  EXPECT_EQ(c.size, kCapacity);
+  EXPECT_EQ(c.size, 0u);
+  EXPECT_EQ(c.bytes, 0u);
+}
 
-  // The newest shape is resident (hit); queries[0] was evicted (miss,
-  // which in turn evicts queries[1], now the least recently used).
-  ASSERT_TRUE(svc.value()->Prepare(queries.back()).ok());
-  EXPECT_EQ(svc.value()->plan_cache_counters().hits, 1u);
-  ASSERT_TRUE(svc.value()->Prepare(queries[0]).ok());
-  c = svc.value()->plan_cache_counters();
-  EXPECT_EQ(c.lookups, kCapacity + 3);
-  EXPECT_EQ(c.hits, 1u);
-  EXPECT_EQ(c.evictions, 2u);
-  EXPECT_EQ(c.size, kCapacity);
-  ASSERT_TRUE(svc.value()->Prepare(queries[1]).ok());
-  EXPECT_EQ(svc.value()->plan_cache_counters().hits, 1u);
+TEST(PlanCacheTest, OversizedTextIsServedUncached) {
+  xml::Document doc = data::MakeBibliography();
+  TwigXSketch sketch = TwigXSketch::Coarsest(doc);
+  auto svc = service::EstimationService::Create(Freeze(sketch));
+  ASSERT_TRUE(svc.ok());
+  const service::EstimationService& s = *svc.value();
+  constexpr size_t kBudget = service::EstimationService::kPlanCacheBytes;
+
+  // A path text larger than a shard's share of the budget (trailing
+  // blanks parse): its program is cached under the twig key only, and the
+  // text is not kept.
+  const std::string padded = "//author/paper" + std::string(200 << 10, ' ');
+  ASSERT_GT(padded.size(), service::PlanCache::kShardBytes);
+  auto first = s.Prepare(std::string_view(padded));
+  ASSERT_TRUE(first.ok());
+  auto second = s.Prepare(std::string_view(padded));
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second.value().get(), first.value().get());
+  EXPECT_TRUE(BitEqual(second.value()->Execute(), first.value()->Execute()));
+  const auto c = s.plan_cache_counters();
+  EXPECT_EQ(c.size, 1u);
+  EXPECT_EQ(c.hits, 1u);  // the repeat found the twig key
+  EXPECT_LE(c.bytes, kBudget);
+  EXPECT_LT(c.bytes, padded.size());
+}
+
+TEST(PlanCacheTest, HitsAllocateNothing) {
+  xml::Document doc = data::MakeBibliography();
+  TwigXSketch sketch = TwigXSketch::Coarsest(doc);
+  auto svc = service::EstimationService::Create(Freeze(sketch));
+  ASSERT_TRUE(svc.ok());
+  const std::string_view text = "//author[book]/paper/keyword";
+  auto twig = query::ParsePath(text, doc.tags());
+  ASSERT_TRUE(twig.ok());
+  // The misses allocate (program, keys, this thread's key buffer).
+  ASSERT_TRUE(svc.value()->Prepare(text).ok());
+  ASSERT_TRUE(svc.value()->Prepare(twig.value()).ok());
+
+  const uint64_t before = t_allocations;
+  for (int i = 0; i < 100; ++i) {
+    auto a = svc.value()->Prepare(text);
+    auto b = svc.value()->Prepare(twig.value());
+    if (!a.ok() || !b.ok() || a.value().get() != b.value().get()) {
+      ADD_FAILURE() << "hit " << i;
+    }
+  }
+  EXPECT_EQ(t_allocations, before);
+  EXPECT_EQ(svc.value()->plan_cache_counters().hits, 201u);
 }
 
 // --- Concurrency (ThreadSanitizer target) --------------------------------
@@ -302,12 +467,17 @@ TEST(CompileConcurrencyTest, ConcurrentPrepareExecuteBitIdentical) {
   TwigXSketch sketch = TwigXSketch::Coarsest(doc);
   const Estimator reference(sketch);
 
-  constexpr size_t kCapacity = service::EstimationService::kPlanCacheCapacity;
+  // One-off shapes whose programs together outweigh the cache twice.
+  constexpr size_t kBudget = service::EstimationService::kPlanCacheBytes;
   auto queries = XMarkWorkload(doc, 48);
-  for (size_t i = 0; i <= kCapacity; ++i) {
-    auto q = query::ParsePath("//item[location>" + std::to_string(i) + "]",
-                              doc.tags());
+  const TwigCompiler compiler(Freeze(sketch));
+  size_t shape_bytes = 0;
+  for (size_t i = 0; shape_bytes <= 2 * kBudget; ++i) {
+    auto q = query::ParsePath(
+        "//open_auction[initial>" + std::to_string(i) + "]//bidder",
+        doc.tags());
     ASSERT_TRUE(q.ok());
+    shape_bytes += compiler.Compile(q.value()).value()->SizeBytes();
     queries.push_back(std::move(q).value());
   }
   std::vector<double> expected;
@@ -317,7 +487,7 @@ TEST(CompileConcurrencyTest, ConcurrentPrepareExecuteBitIdentical) {
   ASSERT_TRUE(svc.ok());
 
   constexpr int kThreads = 8;
-  constexpr int kRounds = 20;
+  constexpr int kRounds = 4;
   std::vector<std::thread> threads;
   std::vector<int> mismatches(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
@@ -339,7 +509,7 @@ TEST(CompileConcurrencyTest, ConcurrentPrepareExecuteBitIdentical) {
 
   const auto c = svc.value()->plan_cache_counters();
   EXPECT_LE(c.hits, c.lookups);
-  EXPECT_LE(c.size, kCapacity);
+  EXPECT_LE(c.bytes, kBudget);
   EXPECT_GT(c.evictions, 0u);
 }
 

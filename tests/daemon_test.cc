@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
@@ -163,6 +164,14 @@ class DaemonTest : public ::testing::Test {
     const core::FrozenSynopsis frozen(core::TwigXSketch::Coarsest(doc));
     sketch_path_ = new std::string(UniqueTempPath("daemon_test.xsk3"));
     ASSERT_TRUE(core::SaveFrozenToFile(frozen, *sketch_path_).ok());
+  }
+
+  // Each SetUpTestSuite (one per --gtest_repeat) makes a new file and
+  // string; both go here.
+  static void TearDownTestSuite() {
+    std::remove(sketch_path_->c_str());
+    delete sketch_path_;
+    sketch_path_ = nullptr;
   }
 
   void TearDown() override {
@@ -408,7 +417,9 @@ TEST_F(DaemonTest, HostileDeadlinesAnswer400) {
   const uint64_t errors_before = daemon_->stats().errors;
   int rejected = 0;
   for (const char* deadline :
-       {"1e13", "4294967296", "-5", "1.5", "\"10\"", "true"}) {
+       {"1e13", "4294967296", "-5", "1.5", "\"10\"", "true",
+        // Not JSON numbers at all (RFC 8259), though strtod takes them.
+        "+1", ".5", "01", "1.", "[+2]"}) {
     const std::string body =
         std::string(R"({"doc":"bib","query":"//book","deadline_ms":)") +
         deadline + "}";

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/http.h"
@@ -56,6 +57,27 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
   EXPECT_FALSE(ParseJson("1 2").ok());  // trailing garbage
   EXPECT_FALSE(ParseJson("{\"a\":1} x").ok());
+}
+
+// RFC 8259's number grammar, not strtod's.
+TEST(JsonTest, NumbersFollowTheJsonGrammar) {
+  for (const char* bad : {"+1", ".5", "01", "-01", "1.", "-", "1e", "1e+",
+                          "0x10", "[+2]", "{\"n\":.5}", "1.e5", "- 1"}) {
+    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
+  }
+  for (const auto& [text, value] :
+       std::vector<std::pair<const char*, double>>{{"0", 0.0},
+                                                   {"-0", -0.0},
+                                                   {"7", 7.0},
+                                                   {"10", 10.0},
+                                                   {"0.5", 0.5},
+                                                   {"-12.5e3", -12500.0},
+                                                   {"1E+2", 100.0},
+                                                   {"2e-1", 0.2}}) {
+    auto v = ParseJson(text);
+    ASSERT_TRUE(v.ok()) << text;
+    EXPECT_EQ(v.value().number_value(), value) << text;
+  }
 }
 
 TEST(JsonTest, DepthCapStopsNestingBombs) {

@@ -338,7 +338,7 @@ TEST(SessionPlanTest, ConcurrentPrepareAndPlanAreRaceFree) {
     queries.push_back(Parse(doc, path));
   }
 
-  // Hammer Plan (which runs Prepare per sub-twig through the shared LRU
+  // Hammer Plan (which runs Prepare per sub-twig through the shared
   // plan cache) and Prepare from many threads at once; results must be
   // identical across threads and runs.
   const auto baseline = session.value().Plan(queries[0]);

@@ -18,7 +18,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 # obs_test drives concurrent writers through the shared MetricsRegistry;
 # trace_test exercises multi-thread span recording, the flight recorder's
 # concurrent record/dump paths, and the CAS-loop gauge updates;
-# compile_test hammers concurrent Prepare/Execute through the LRU plan
+# compile_test hammers concurrent Prepare/Execute through the byte-bounded plan
 # cache and the compiler's shared expansion cache;
 # differential_test drives the whole pipeline through 8-thread batch
 # estimation (its runner sets batch_threads = 8), with the sweep size
@@ -31,7 +31,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 # exec_test runs the executor differential sweep (stateless operators
 # over a shared immutable StreamIndex — ASan checks the range probes);
 # plan_test hammers Session::Plan and Prepare from concurrent threads
-# (the planner's cardinality calls ride the service's LRU plan cache,
+# (the planner's cardinality calls ride the service's plan cache,
 # the same shared state compile_test covers, now under a second caller);
 # xsk3_test maps sketch files, hot-swaps catalog generations (each with
 # its own service and plan cache) and republishes a file while mapped;
